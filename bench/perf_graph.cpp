@@ -16,7 +16,11 @@
 //   2. legacy per-draw availability == ServiceEvaluator availability,
 //   3. availability_sweep is bit-identical across thread counts,
 //   4. the steady-state trial loop performs ZERO heap allocations
-//      (checked with a global operator new counter).
+//      (checked with a global operator new counter),
+//   5. the network's AttachmentIndex attaches every DNS root instance,
+//      data-centre site and continent anchor to the node the legacy
+//      brute-force scan picks, and, built from scratch and run over that
+//      query set, is >= 5x faster than the scan in the same process.
 // Any mismatch exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate.
 #include <benchmark/benchmark.h>
@@ -30,6 +34,7 @@
 
 #include "bench_util.h"
 #include "datasets/datacenters.h"
+#include "datasets/infra_points.h"
 #include "datasets/submarine.h"
 #include "geo/distance.h"
 #include "graph/components.h"
@@ -484,6 +489,93 @@ void check_zero_steady_state_allocations() {
   }
 }
 
+// Every point the report's observers attach: all DNS root instances, both
+// operators' data-centre sites and the six continent anchors.
+std::vector<geo::GeoPoint> attachment_queries() {
+  std::vector<geo::GeoPoint> queries;
+  for (const datasets::DnsRootInstance& r : datasets::make_dns_dataset({})) {
+    queries.push_back(r.location);
+  }
+  for (const auto op : {datasets::DataCenterOperator::kGoogle,
+                        datasets::DataCenterOperator::kFacebook}) {
+    for (const datasets::DataCenter& d : datasets::datacenters_of(op)) {
+      queries.push_back(d.location);
+    }
+  }
+  for (const auto& [continent, anchor] : legacy::continent_anchors()) {
+    queries.push_back(anchor);
+  }
+  return queries;
+}
+
+struct AttachmentTimings {
+  double scan_us_per_lookup = 0.0;
+  double index_us_per_lookup = 0.0;
+  double index_build_us = 0.0;
+  double speedup = 0.0;  // scan vs index build + lookups
+};
+
+// Index == legacy scan on every query, then both timed over the full query
+// set. The index side includes building it from scratch, as a cold report
+// does, so the gate compares what the observers' construction pays.
+AttachmentTimings check_attachment_index() {
+  const auto& net = submarine();
+  const std::vector<geo::GeoPoint> queries = attachment_queries();
+  const topo::AttachmentIndex& cached = net.attachment_index();
+  for (const geo::GeoPoint& q : queries) {
+    if (cached.attach(q) != legacy::nearest_connected_node(net, q)) {
+      fail("AttachmentIndex::attach != legacy nearest_connected_node");
+    }
+  }
+
+  constexpr std::size_t kRepeats = 5;
+  const double scan_ms = benchutil::time_best_ms(
+      [&] {
+        for (const geo::GeoPoint& q : queries) {
+          benchmark::DoNotOptimize(legacy::nearest_connected_node(net, q));
+        }
+      },
+      kRepeats);
+  const double build_ms = benchutil::time_best_ms(
+      [&] {
+        topo::AttachmentIndex index(net);
+        benchmark::DoNotOptimize(index);
+      },
+      kRepeats);
+  const double cold_ms = benchutil::time_best_ms(
+      [&] {
+        const topo::AttachmentIndex index(net);
+        for (const geo::GeoPoint& q : queries) {
+          benchmark::DoNotOptimize(index.attach(q));
+        }
+      },
+      kRepeats);
+  const double lookups_ms = benchutil::time_best_ms(
+      [&] {
+        for (const geo::GeoPoint& q : queries) {
+          benchmark::DoNotOptimize(cached.attach(q));
+        }
+      },
+      kRepeats);
+
+  const double per_query_us = 1000.0 / static_cast<double>(queries.size());
+  AttachmentTimings t;
+  t.scan_us_per_lookup = scan_ms * per_query_us;
+  t.index_us_per_lookup = lookups_ms * per_query_us;
+  t.index_build_us = build_ms * 1000.0;
+  t.speedup = scan_ms / cold_ms;
+  std::printf(
+      "perf_graph: attachment over %zu queries: scan %.2f us/lookup, index "
+      "%.2f us/lookup + %.0f us build; cold index %.1fx faster than scan\n",
+      queries.size(), t.scan_us_per_lookup, t.index_us_per_lookup,
+      t.index_build_us, t.speedup);
+  constexpr double kMinAttachmentSpeedup = 5.0;
+  if (t.speedup < kMinAttachmentSpeedup) {
+    fail("AttachmentIndex (build + lookups) is not >= 5x faster than the scan");
+  }
+  return t;
+}
+
 // --- benchmarks -------------------------------------------------------------
 
 // Masked connected components, per trial: mask build + decomposition, the
@@ -595,7 +687,7 @@ BENCHMARK(BM_AvailabilitySweep)->Arg(1)->Arg(0)
 
 // Headline chrono timings for BENCH_graph.json: the per-trial connectivity
 // and availability units, old vs new, averaged over the bench draws.
-void emit_bench_json() {
+void emit_bench_json(const AttachmentTimings& attachment) {
   const auto& net = submarine();
   const graph::Csr& csr = net.csr();
   graph::ComponentScratch comp_scratch;
@@ -638,7 +730,11 @@ void emit_bench_json() {
       {{"legacy_masked_components_ms", legacy_components_ms, "ms"},
        {"csr_masked_components_ms", csr_components_ms, "ms"},
        {"legacy_availability_per_trial_ms", legacy_avail_ms, "ms"},
-       {"evaluator_availability_per_trial_ms", eval_avail_ms, "ms"}});
+       {"evaluator_availability_per_trial_ms", eval_avail_ms, "ms"},
+       {"attach_scan_us_per_lookup", attachment.scan_us_per_lookup, "us"},
+       {"attach_index_us_per_lookup", attachment.index_us_per_lookup, "us"},
+       {"attach_index_build_us", attachment.index_build_us, "us"},
+       {"attach_cold_index_speedup", attachment.speedup, "x"}});
 }
 
 }  // namespace
@@ -648,8 +744,9 @@ int main(int argc, char** argv) {
   check_availability_equivalence();
   check_sweep_determinism();
   check_zero_steady_state_allocations();
+  const AttachmentTimings attachment = check_attachment_index();
   std::printf("perf_graph: all equivalence checks passed\n");
-  emit_bench_json();
+  emit_bench_json(attachment);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,10 +1,8 @@
 #include "services/availability.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
-#include "geo/distance.h"
 #include "util/checkpoint.h"
 #include "util/parallel.h"
 
@@ -13,7 +11,7 @@ namespace solarnet::services {
 namespace {
 
 // Continent "client anchors": a representative populous coastal location
-// per continent, mapped to the nearest landing point.
+// per continent, attached to the network like every replica.
 const std::vector<std::pair<geo::Continent, geo::GeoPoint>>&
 continent_anchors() {
   static const std::vector<std::pair<geo::Continent, geo::GeoPoint>> anchors =
@@ -26,38 +24,6 @@ continent_anchors() {
           {geo::Continent::kOceania, {-33.9, 151.2}},       // Sydney
       };
   return anchors;
-}
-
-// Clients and replicas reach the submarine plant through terrestrial
-// networks, so they attach to the best-connected landing station in their
-// area, not literally the closest beach: among nodes within the attachment
-// radius, prefer the highest cable degree (nearest wins ties); with no
-// node in range, fall back to the globally nearest.
-topo::NodeId nearest_connected_node(const topo::InfrastructureNetwork& net,
-                                    const geo::GeoPoint& p) {
-  constexpr double kAttachmentRadiusKm = 1500.0;
-  topo::NodeId best_in_range = topo::kInvalidNode;
-  std::size_t best_degree = 0;
-  double best_in_range_d = std::numeric_limits<double>::infinity();
-  topo::NodeId nearest = topo::kInvalidNode;
-  double nearest_d = std::numeric_limits<double>::infinity();
-  for (topo::NodeId n = 0; n < net.node_count(); ++n) {
-    const std::size_t degree = net.cables_at(n).size();
-    if (degree == 0) continue;
-    const double d = geo::haversine_km(p, net.node(n).location);
-    if (d < nearest_d) {
-      nearest_d = d;
-      nearest = n;
-    }
-    if (d <= kAttachmentRadiusKm &&
-        (degree > best_degree ||
-         (degree == best_degree && d < best_in_range_d))) {
-      best_degree = degree;
-      best_in_range_d = d;
-      best_in_range = n;
-    }
-  }
-  return best_in_range != topo::kInvalidNode ? best_in_range : nearest;
 }
 
 // A node that lost every cable is not "nowhere" — it is its own island
@@ -106,14 +72,14 @@ ServiceEvaluator::ServiceEvaluator(const topo::InfrastructureNetwork& net,
       spec_.write_quorum > spec_.replicas.size()) {
     throw std::invalid_argument("ServiceEvaluator: bad service spec");
   }
+  const topo::AttachmentIndex& attachment = net_.attachment_index();
   replica_nodes_.reserve(spec_.replicas.size());
   for (const geo::GeoPoint& r : spec_.replicas) {
-    replica_nodes_.push_back(nearest_connected_node(net_, r));
+    replica_nodes_.push_back(attachment.attach(r));
   }
   anchor_nodes_.reserve(continent_anchors().size());
   for (const auto& [continent, anchor] : continent_anchors()) {
-    anchor_nodes_.emplace_back(continent,
-                               nearest_connected_node(net_, anchor));
+    anchor_nodes_.emplace_back(continent, attachment.attach(anchor));
   }
 }
 
@@ -237,8 +203,8 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
     util::Bitset dead;
     AvailabilityReport report;
   };
-  // The prototype runs the nearest-node scans once; workers copy the
-  // resolved tables instead of re-scanning.
+  // The prototype resolves the attachment nodes once; workers copy the
+  // resolved tables instead of re-resolving.
   const ServiceEvaluator prototype(simulator.network(), service);
   std::vector<WorkerState> state(workers, {prototype, {}, {}});
 

@@ -60,7 +60,8 @@ const std::vector<std::pair<geo::Continent, double>>&
 continent_population_shares();
 
 // Pre-resolved evaluator for one (network, service) pair. Construction
-// runs the nearest-landing-point scans (O(nodes) per replica/anchor) once;
+// attaches every replica and anchor through the network's
+// topo::AttachmentIndex once;
 // evaluate() then costs one masked component decomposition plus O(1)
 // lookups per party, reusing all scratch. Copyable — the parallel sweep
 // hands each worker its own copy. The network must outlive the evaluator.
@@ -103,7 +104,7 @@ class ServiceEvaluator {
 };
 
 // Evaluates one service against a failure draw. Every replica and client
-// continent is mapped to its nearest cable-bearing landing point; two
+// continent attaches to a landing point (topo::AttachmentIndex); two
 // parties can communicate when those landing points share a surviving
 // component. A client's continent gets read availability when >= 1
 // replica is reachable, write availability when >= write_quorum replicas

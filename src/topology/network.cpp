@@ -71,6 +71,7 @@ InfrastructureNetwork InfrastructureNetwork::clone_with_extra_cables(
 void InfrastructureNetwork::invalidate_csr() {
   const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
   csr_cache_.ptr.reset();
+  csr_cache_.attachment.reset();
   csr_cache_.fingerprint_valid = false;
 }
 
@@ -80,6 +81,14 @@ const graph::Csr& InfrastructureNetwork::csr() const {
     csr_cache_.ptr = std::make_shared<const graph::Csr>(graph_);
   }
   return *csr_cache_.ptr;
+}
+
+const AttachmentIndex& InfrastructureNetwork::attachment_index() const {
+  const std::lock_guard<std::mutex> lock(csr_cache_.mutex);
+  if (!csr_cache_.attachment) {
+    csr_cache_.attachment = std::make_shared<const AttachmentIndex>(*this);
+  }
+  return *csr_cache_.attachment;
 }
 
 std::uint64_t InfrastructureNetwork::content_fingerprint() const {

@@ -14,6 +14,7 @@
 
 #include "graph/csr.h"
 #include "graph/graph.h"
+#include "topology/attachment.h"
 #include "topology/cable.h"
 #include "topology/node.h"
 #include "util/bitset.h"
@@ -69,6 +70,9 @@ class InfrastructureNetwork {
   // graph/traversal.h) traverse; build it (by calling this once) before
   // fanning trial workers out over the network.
   const graph::Csr& csr() const;
+  // Index answering where a geographic point attaches to this network
+  // (topology/attachment.h), cached and invalidated like csr().
+  const AttachmentIndex& attachment_index() const;
   // Order-sensitive 64-bit digest of the network's content: every node
   // (name, coordinates, country, kind, authoritativeness) and cable (name,
   // kind, segments with exact length bits, length_known) in id order. Two
@@ -125,27 +129,30 @@ class InfrastructureNetwork {
   graph::Graph graph_;
   std::vector<CableId> edge_to_cable_;
   std::vector<std::vector<graph::EdgeId>> cable_to_edges_;
-  // Lazily built CSR snapshot of graph_ plus the cached content
+  // Lazily built CSR snapshot of graph_, attachment index and content
   // fingerprint, rebuilt on demand after mutation invalidates them. The
   // cache (not the network) carries the mutex, with copy/move defined to
   // drop the cached state, so the network stays movable and a copied
-  // network rebuilds its own CSR and fingerprint.
+  // network rebuilds its own.
   struct CsrCache {
     CsrCache() = default;
     CsrCache(const CsrCache&) noexcept {}
     CsrCache(CsrCache&&) noexcept {}
     CsrCache& operator=(const CsrCache&) noexcept {
       ptr.reset();
+      attachment.reset();
       fingerprint_valid = false;
       return *this;
     }
     CsrCache& operator=(CsrCache&&) noexcept {
       ptr.reset();
+      attachment.reset();
       fingerprint_valid = false;
       return *this;
     }
     std::mutex mutex;
     std::shared_ptr<const graph::Csr> ptr;
+    std::shared_ptr<const AttachmentIndex> attachment;
     std::uint64_t fingerprint = 0;
     bool fingerprint_valid = false;
   };
