@@ -2,7 +2,9 @@
 // how much they reduce the probability that the US is fully cut off from
 // Europe under the S1 state, and ablates the cable-death rule
 // (any-repeater-fails vs half-repeaters-fail; DESIGN.md design-choice #2).
+#include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "analysis/latency.h"
 #include "core/planner.h"
@@ -46,25 +48,29 @@ int main() {
                      "Ablation: cable-death rule (any repeater vs >= 50% of "
                      "repeaters), best candidate under each");
   {
+    // Under the fraction rule a cable dies only once half its repeaters
+    // fail, so the probabilities span many orders of magnitude: print
+    // three significant digits instead of three decimals.
+    const auto sig = [](double v) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.3g", v);
+      return std::string(buf);
+    };
     sim::TrialConfig frac_cfg;
     frac_cfg.rule = sim::CableDeathRule::kFractionFails;
     frac_cfg.death_fraction = 0.5;
     const core::TopologyPlanner any_planner(net, {});
     const core::TopologyPlanner frac_planner(net, frac_cfg);
     util::TextTable t({"rule", "P(cutoff) before", "best candidate",
-                       "P(cutoff) after"});
-    const auto any_ranked = any_planner.rank(candidates, s1, us, europe);
-    const auto frac_ranked = frac_planner.rank(candidates, s1, us, europe);
-    t.add_row({"any repeater fails",
-               util::format_fixed(any_ranked[0].corridor_cutoff_before, 3),
-               any_ranked[0].candidate.from_node + " - " +
-                   any_ranked[0].candidate.to_node,
-               util::format_fixed(any_ranked[0].corridor_cutoff_after, 3)});
-    t.add_row({">= 50% repeaters fail",
-               util::format_fixed(frac_ranked[0].corridor_cutoff_before, 3),
-               frac_ranked[0].candidate.from_node + " - " +
-                   frac_ranked[0].candidate.to_node,
-               util::format_fixed(frac_ranked[0].corridor_cutoff_after, 3)});
+                       "P(cable dies)", "P(cutoff) after"});
+    const auto add = [&](const char* rule, const core::CandidateEvaluation& e) {
+      t.add_row({rule, sig(e.corridor_cutoff_before),
+                 e.candidate.from_node + " - " + e.candidate.to_node,
+                 sig(e.death_probability), sig(e.corridor_cutoff_after)});
+    };
+    add("any repeater fails", any_planner.rank(candidates, s1, us, europe)[0]);
+    add(">= 50% repeaters fail",
+        frac_planner.rank(candidates, s1, us, europe)[0]);
     t.print(std::cout);
   }
   // §5.1's other trade-off: trans-Arctic systems cut Europe<->Asia latency

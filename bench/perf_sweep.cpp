@@ -2,7 +2,9 @@
 // common-random-number batched grid sweep.
 //
 // main() runs hard validation gates before any timing:
-//   1. a non-any-failure rule is rejected up front with invalid_argument,
+//   1. under the fraction-of-repeaters rule the uniform grid equals the
+//      rule's death tables and every point's dead set is the scalar table
+//      draw on the same stream,
 //   2. the CRN death indices match an independent per-point Bernoulli
 //      thresholding replay, and per-trial dead sets are monotone nested in
 //      the grid (the property the reverse-insertion walk relies on),
@@ -28,8 +30,10 @@
 #include "analysis/connectivity.h"
 #include "bench_util.h"
 #include "datasets/submarine.h"
+#include "gic/failure_model.h"
 #include "sim/monte_carlo.h"
 #include "sim/sweep.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 // --- global allocation counter ----------------------------------------------
@@ -89,25 +93,52 @@ const sim::SweepEngine& default_engine() {
 
 // --- validation gates -------------------------------------------------------
 
-void check_rule_validation() {
+// The fraction-of-repeaters rule lives in the death table, so a sweep under
+// it must be the scalar table draw at every grid point, on the same stream.
+void check_fraction_rule_matches_table_draw() {
   sim::TrialConfig cfg;
   cfg.rule = sim::CableDeathRule::kFractionFails;
+  cfg.threads = 1;
   const sim::FailureSimulator fraction_sim(submarine(), cfg);
   const auto grid = analysis::default_probability_grid();
-  bool threw = false;
-  try {
-    sim::SweepEngine::uniform(fraction_sim, grid);
-  } catch (const std::invalid_argument&) {
-    threw = true;
+  const sim::SweepEngine engine = sim::SweepEngine::uniform(fraction_sim, grid);
+  std::vector<sim::DeathProbabilityTable> tables;
+  for (const double p : grid) {
+    tables.push_back(
+        fraction_sim.death_probability_table(gic::UniformFailureModel(p)));
   }
-  if (!threw) fail("kFractionFails rule was not rejected by the engine");
-  threw = false;
-  try {
-    analysis::uniform_failure_sweep(fraction_sim, grid, 2, 1);
-  } catch (const std::invalid_argument&) {
-    threw = true;
+  const std::size_t cables = submarine().cable_count();
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    for (topo::CableId c = 0; c < cables; ++c) {
+      if (engine.grid_probability(g, c) != tables[g].probability[c]) {
+        fail("kFractionFails uniform grid differs from the table");
+      }
+    }
   }
-  if (!threw) fail("kFractionFails rule was not rejected by the sweep");
+  const util::Rng base(7);
+  std::vector<std::uint32_t> index;
+  util::Bitset dead;
+  for (std::size_t t = 0; t < 32; ++t) {
+    util::Rng rng = base.split(t);
+    engine.sample_death_grid_indices(rng, index);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      util::Rng scalar_rng = base.split(t);
+      fraction_sim.sample_cable_failures(tables[g], scalar_rng, dead);
+      for (topo::CableId c = 0; c < cables; ++c) {
+        if ((index[c] <= g) != dead.test(c)) {
+          fail("kFractionFails sweep dead set differs from the table draw");
+        }
+      }
+    }
+  }
+  const auto points = analysis::uniform_failure_sweep(fraction_sim, grid, 8, 1);
+  const sim::SweepResult result = engine.run(8, 1);
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    if (points[g].cables_failed_mean_pct !=
+        result.points[g].cables_failed_pct.mean()) {
+      fail("kFractionFails uniform_failure_sweep differs from the engine");
+    }
+  }
 }
 
 // Re-derive the death indices by thresholding each cable's uniform against
@@ -273,7 +304,7 @@ void check_zero_steady_state_allocations() {
 }  // namespace
 
 int main() {
-  check_rule_validation();
+  check_fraction_rule_matches_table_draw();
   check_crn_thresholds_and_nesting();
   check_trial_against_bruteforce();
   check_thread_bit_identity();

@@ -2,7 +2,8 @@
 // playback (onset → peak → decay → repair).
 //
 // main() runs hard validation gates before any timing:
-//   1. a non-any-failure rule and malformed playback axes are rejected up
+//   1. under the fraction-of-repeaters rule the storm's last step is the
+//      scalar table draw, and malformed playback axes are rejected up
 //      front with invalid_argument,
 //   2. playback's per-step percentages are bit-identical to a naive
 //      per-step full recompute (independent CRN replay, fault draw and
@@ -31,6 +32,7 @@
 #include "recovery/repair.h"
 #include "sim/monte_carlo.h"
 #include "sim/timeline_engine.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 // --- global allocation counter ----------------------------------------------
@@ -193,24 +195,39 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
 
 // --- validation gates -------------------------------------------------------
 
+// The fraction-of-repeaters rule lives in the death table, so a playback
+// under it must end the storm on the scalar table draw.
+void check_fraction_rule_matches_table_draw() {
+  sim::TrialConfig cfg;
+  cfg.rule = sim::CableDeathRule::kFractionFails;
+  cfg.threads = 1;
+  const sim::FailureSimulator fraction_sim(submarine(), cfg);
+  const auto table =
+      fraction_sim.death_probability_table(gic::UniformFailureModel(0.3));
+  const sim::TimelineEngine engine(
+      fraction_sim, table,
+      sim::TimelineConfig::from_profile(gic::StormPhaseProfile{}, 6.0));
+  const std::size_t storm_steps = engine.storm_step_count();
+  sim::TimelineScratch scratch;
+  util::Bitset dead;
+  const util::Rng base(31);
+  for (std::size_t t = 0; t < 32; ++t) {
+    util::Rng rng = base.split(t);
+    engine.playback(rng, scratch);
+    util::Rng scalar_rng = base.split(t);
+    fraction_sim.sample_cable_failures(table, scalar_rng, dead);
+    for (topo::CableId c = 0; c < submarine().cable_count(); ++c) {
+      if ((scratch.fail_step[c] < storm_steps) != dead.test(c)) {
+        fail("kFractionFails storm end differs from the table draw");
+      }
+    }
+  }
+}
+
 void check_validation() {
   const auto table = submarine_sim().death_probability_table(
       gic::UniformFailureModel(0.3));
-  sim::TrialConfig cfg;
-  cfg.rule = sim::CableDeathRule::kFractionFails;
-  const sim::FailureSimulator fraction_sim(submarine(), cfg);
   bool threw = false;
-  try {
-    sim::TimelineEngine engine(
-        fraction_sim, fraction_sim.death_probability_table(
-                          gic::UniformFailureModel(0.3)),
-        sim::TimelineConfig::from_profile(gic::StormPhaseProfile{}, 6.0));
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  if (!threw) fail("kFractionFails rule was not rejected by the engine");
-
-  threw = false;
   try {
     sim::TimelineEngine engine(
         submarine_sim(), table,
@@ -340,6 +357,7 @@ void check_zero_steady_state_allocations() {
 }  // namespace
 
 int main() {
+  check_fraction_rule_matches_table_draw();
   check_validation();
   check_playback_against_naive();
   check_thread_bit_identity();

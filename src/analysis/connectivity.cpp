@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "sim/sweep.h"
 
@@ -11,11 +10,6 @@ namespace solarnet::analysis {
 std::vector<SweepPoint> uniform_failure_sweep(
     const sim::FailureSimulator& simulator, std::span<const double> probs,
     std::size_t trials, std::uint64_t seed) {
-  if (simulator.config().rule != sim::CableDeathRule::kAnyRepeaterFails) {
-    throw std::invalid_argument(
-        "uniform_failure_sweep: batched sweeps require "
-        "CableDeathRule::kAnyRepeaterFails");
-  }
   // The engine wants an ascending grid; accept any input order (and
   // duplicates) by sweeping a sorted copy and mapping results back.
   std::vector<std::size_t> order(probs.size());

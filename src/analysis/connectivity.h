@@ -24,11 +24,10 @@ struct SweepPoint {
   double nodes_unreachable_sd_pct = 0.0;
 };
 
-// Uniform-probability sweep (Figures 6 and 7): one point per probability.
-// Accepts probabilities in any order (results keep the input order) and
-// throws std::invalid_argument up front when the simulator's rule is not
-// kAnyRepeaterFails. Trial t shares one uniform per cable across all
-// points, so per-trial curves are exactly monotone in p.
+// Uniform-probability sweep (Figures 6 and 7): one point per probability,
+// under the simulator's death rule. Accepts probabilities in any order
+// (results keep the input order). Trial t shares one uniform per cable
+// across all points, so per-trial curves are exactly monotone in p.
 std::vector<SweepPoint> uniform_failure_sweep(
     const sim::FailureSimulator& simulator, std::span<const double> probs,
     std::size_t trials, std::uint64_t seed);

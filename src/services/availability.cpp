@@ -178,12 +178,9 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
     return sweep;
   }
 
-  // Under the any-failure rule, fold the per-cable death probabilities once
-  // so each draw is O(cables).
-  sim::DeathProbabilityTable table;
-  const bool use_table =
-      simulator.config().rule == sim::CableDeathRule::kAnyRepeaterFails;
-  if (use_table) table = simulator.death_probability_table(model);
+  // Fold the per-cable death probabilities once so each draw is O(cables).
+  const sim::DeathProbabilityTable table =
+      simulator.death_probability_table(model);
 
   // Same determinism discipline as FailureSimulator::run_trials: fixed-size
   // draw chunks (independent of the thread count), draw d always samples
@@ -217,11 +214,7 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
         const std::size_t end = std::min(begin + kDrawChunk, draws);
         for (std::size_t d = begin; d < end; ++d) {
           util::Rng rng = base.split(d);
-          if (use_table) {
-            simulator.sample_cable_failures(table, rng, s.dead);
-          } else {
-            simulator.sample_cable_failures(model, rng, s.dead);
-          }
+          simulator.sample_cable_failures(table, rng, s.dead);
           s.evaluator.evaluate(s.dead, s.report);
           out.read.add(s.report.read_availability);
           out.write.add(s.report.write_availability);

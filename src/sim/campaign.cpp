@@ -15,6 +15,10 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'N', 'C', 'P'};
 constexpr std::uint32_t kVersion = 1;
+// Folded into every fingerprint: bump whenever a trial's draw from its
+// stream changes, so chunks drawn the old way are never resumed into a
+// run that draws the new way. 2 = one uniform per mortal cable.
+constexpr std::uint64_t kDrawDiscipline = 2;
 
 util::Error mismatch(const std::string& what, const std::string& path) {
   return util::Error(util::ErrorCode::kMismatch,
@@ -38,6 +42,10 @@ std::uint64_t CampaignRunner::fingerprint(const CampaignOptions& options,
   fp.fold(chunks);
   fp.fold(pipeline_.network().cable_count());
   fp.fold(pipeline_.network().connected_node_count());
+  fp.fold(kDrawDiscipline);
+  // The table carries the model, the spacing and the death rule, so a
+  // checkpoint of an S1 run never resumes into an S2 (or other-spacing) one.
+  for (const double p : pipeline_.table().probability) fp.fold_double(p);
   for (const CheckpointableObserver* observer : observers_) {
     fp.fold_bytes(observer->checkpoint_id());
   }

@@ -23,9 +23,11 @@
 //   u32  crc32(payload)
 // payload:
 //   u64  fingerprint  — SplitMix64 fold of trials, seed, chunk size, the
-//                       network's cable/connected-node counts and every
-//                       observer checkpoint_id, so a checkpoint is never
-//                       applied to a different campaign configuration
+//                       network's cable/connected-node counts, the draw
+//                       discipline version, the bit patterns of the
+//                       pipeline's death table and every observer
+//                       checkpoint_id, so a checkpoint is never applied to
+//                       a different campaign configuration
 //   u64  trials, u64 seed, u32 chunk_size, u64 chunks_total
 //   u32  observer_count, then per observer: length-prefixed checkpoint_id
 //   u64  completed_chunks

@@ -46,7 +46,11 @@ FailureSimulator::FailureSimulator(const topo::InfrastructureNetwork& net,
     for (const topo::Repeater& r : positions) {
       repeaters_.push_back({r.location, max_abs_lat});
     }
-    if (positions.empty()) ++repeaterless_cables_;
+    if (positions.empty()) {
+      ++repeaterless_cables_;
+    } else {
+      mortal_.push_back(static_cast<std::uint32_t>(c));
+    }
     total_repeaters_ += positions.size();
     cable_offset_.push_back(repeaters_.size());
   }
@@ -59,18 +63,50 @@ double FailureSimulator::average_repeaters_per_cable() const noexcept {
          static_cast<double>(net_.cable_count());
 }
 
+std::size_t FailureSimulator::lethal_failures(std::size_t repeaters) const {
+  if (config_.rule == CableDeathRule::kAnyRepeaterFails || repeaters == 0) {
+    return 1;
+  }
+  // The rule compares double(failed) / double(repeaters) against the
+  // fraction, so search around the ceil with that exact comparison.
+  const double n = static_cast<double>(repeaters);
+  std::size_t k = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(config_.death_fraction * n)), 1,
+      repeaters);
+  while (k > 1 && static_cast<double>(k - 1) / n >= config_.death_fraction) {
+    --k;
+  }
+  while (k < repeaters && static_cast<double>(k) / n < config_.death_fraction) {
+    ++k;
+  }
+  return k;
+}
+
 double FailureSimulator::cable_death_probability(
     topo::CableId cable, const gic::RepeaterFailureModel& model) const {
   if (cable + 1 >= cable_offset_.size()) {
     throw std::out_of_range("cable_death_probability: cable id");
   }
-  double survive = 1.0;
-  for (std::size_t i = cable_offset_[cable]; i < cable_offset_[cable + 1];
-       ++i) {
-    survive *= 1.0 - model.failure_probability(repeaters_[i]);
-    if (survive == 0.0) break;
+  const std::size_t begin = cable_offset_[cable];
+  const std::size_t end = cable_offset_[cable + 1];
+  const std::size_t lethal = lethal_failures(end - begin);
+  // k = 1 needs only the survival product: a one-state counter the
+  // compiler keeps in a register, with an early exit.
+  if (lethal == 1) {
+    RepeaterFailureCount count(1);
+    for (std::size_t i = begin; i < end; ++i) {
+      count.add(model.failure_probability(repeaters_[i]));
+      // Once 1 - survive rounds to 1, the shrinking survival product can
+      // no longer change the result.
+      if (count.at_least(1) == 1.0) break;
+    }
+    return count.at_least(1);
   }
-  return 1.0 - survive;
+  RepeaterFailureCount count(end - begin + 1);
+  for (std::size_t i = begin; i < end; ++i) {
+    count.add(model.failure_probability(repeaters_[i]));
+  }
+  return count.at_least(lethal);
 }
 
 DeathProbabilityTable FailureSimulator::death_probability_table(
@@ -83,87 +119,45 @@ DeathProbabilityTable FailureSimulator::death_probability_table(
   return table;
 }
 
-namespace {
-
-// Uniform bit assignment over the two dead-set representations.
-inline void set_bit(std::vector<bool>& dead, std::size_t i, bool value) {
-  dead[i] = value;
-}
-inline void set_bit(util::Bitset& dead, std::size_t i, bool value) {
-  dead.set(i, value);
-}
-
-}  // namespace
-
-template <typename DeadSet>
-void FailureSimulator::sample_into(const gic::RepeaterFailureModel& model,
-                                   const DeathProbabilityTable* table,
-                                   util::Rng& rng, DeadSet& dead) const {
+void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
+                                             util::Rng& rng,
+                                             util::Bitset& dead) const {
+  if (table.probability.size() != net_.cable_count()) {
+    throw std::invalid_argument("sample_cable_failures: table size mismatch");
+  }
   dead.assign(net_.cable_count(), false);
-  for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
-    const std::size_t begin = cable_offset_[c];
-    const std::size_t end = cable_offset_[c + 1];
-    if (begin == end) continue;  // repeaterless cables never die of GIC
-    if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
-      const double p = table != nullptr ? table->probability[c]
-                                        : cable_death_probability(c, model);
-      set_bit(dead, c, rng.bernoulli(p));
-    } else {
-      std::size_t failed = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (rng.bernoulli(model.failure_probability(repeaters_[i]))) {
-          ++failed;
-        }
-      }
-      const double fraction = static_cast<double>(failed) /
-                              static_cast<double>(end - begin);
-      set_bit(dead, c, fraction >= config_.death_fraction);
-    }
+  for (const std::uint32_t c : mortal_) {
+    dead.set(c, rng.uniform() < table.probability[c]);
   }
 }
 
 std::vector<bool> FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng) const {
   std::vector<bool> dead;
-  sample_into(model, nullptr, rng, dead);
+  sample_cable_failures(model, rng, dead);
   return dead;
 }
 
 void FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng,
     std::vector<bool>& dead) const {
-  sample_into(model, nullptr, rng, dead);
+  util::Bitset bits;
+  sample_cable_failures(death_probability_table(model), rng, bits);
+  dead.assign(net_.cable_count(), false);
+  for (const std::uint32_t c : mortal_) dead[c] = bits.test(c);
 }
 
 void FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng,
     util::Bitset& dead) const {
-  sample_into(model, nullptr, rng, dead);
+  sample_cable_failures(death_probability_table(model), rng, dead);
 }
 
-void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
-                                             util::Rng& rng,
-                                             util::Bitset& dead) const {
-  if (config_.rule != CableDeathRule::kAnyRepeaterFails) {
-    throw std::invalid_argument(
-        "sample_cable_failures: probability tables only model the "
-        "any-repeater-fails rule");
-  }
-  if (table.probability.size() != net_.cable_count()) {
-    throw std::invalid_argument("sample_cable_failures: table size mismatch");
-  }
-  dead.assign(net_.cable_count(), false);
-  for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
-    if (cable_offset_[c] == cable_offset_[c + 1]) continue;
-    dead.set(c, rng.bernoulli(table.probability[c]));
-  }
-}
-
-void FailureSimulator::trial_percentages(
-    const gic::RepeaterFailureModel& model, const DeathProbabilityTable* table,
-    util::Rng& rng, TrialScratch& scratch, double& cables_failed_pct,
-    double& nodes_unreachable_pct) const {
-  sample_into(model, table, rng, scratch.cable_dead);
+void FailureSimulator::trial_percentages(const DeathProbabilityTable& table,
+                                         util::Rng& rng, TrialScratch& scratch,
+                                         double& cables_failed_pct,
+                                         double& nodes_unreachable_pct) const {
+  sample_cable_failures(table, rng, scratch.cable_dead);
   const std::size_t failed = scratch.cable_dead.count();
   net_.unreachable_nodes(scratch.cable_dead, scratch.unreachable);
   cables_failed_pct = net_.cable_count() > 0
@@ -180,7 +174,7 @@ void FailureSimulator::trial_percentages(
 TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
                                         util::Rng& rng) const {
   TrialResult result;
-  sample_into(model, nullptr, rng, result.cable_dead);
+  sample_cable_failures(model, rng, result.cable_dead);
   for (bool d : result.cable_dead) {
     if (d) ++result.cables_failed;
   }
@@ -205,15 +199,9 @@ AggregateResult FailureSimulator::run_trials(
   agg.trials = trials;
   if (trials == 0) return agg;
 
-  // Under the any-failure rule the per-cable probabilities are a pure
-  // function of (simulator, model): fold them once so every trial is
-  // O(cables) instead of O(repeaters).
-  DeathProbabilityTable table;
-  const DeathProbabilityTable* table_ptr = nullptr;
-  if (config_.rule == CableDeathRule::kAnyRepeaterFails) {
-    table = death_probability_table(model);
-    table_ptr = &table;
-  }
+  // The per-cable probabilities are a pure function of (simulator, model):
+  // fold them once so every trial is O(cables) instead of O(repeaters).
+  const DeathProbabilityTable table = death_probability_table(model);
 
   // Determinism: trials are grouped into fixed-size chunks whose boundaries
   // depend only on `trials`, never on the thread count. Each chunk
@@ -232,7 +220,7 @@ AggregateResult FailureSimulator::run_trials(
   std::vector<ChunkStats> per_chunk(chunks);
   const util::Rng base(seed);
 
-  if (table_ptr != nullptr && config_.engine != TrialEngine::kScalar) {
+  if (config_.engine != TrialEngine::kScalar) {
     // Bit-parallel path: one 64-lane batch covers exactly two chunks
     // (kLanes == 2 * kTrialChunk), so each batch task owns whole chunks and
     // the per-chunk accumulators — filled in ascending lane order from
@@ -286,7 +274,7 @@ AggregateResult FailureSimulator::run_trials(
             util::Rng rng = base.split(t);
             double cables_pct = 0.0;
             double nodes_pct = 0.0;
-            trial_percentages(model, table_ptr, rng, s, cables_pct, nodes_pct);
+            trial_percentages(table, rng, s, cables_pct, nodes_pct);
             out.cables.add(cables_pct);
             out.nodes.add(nodes_pct);
           }

@@ -8,12 +8,18 @@
 // lost all their cables. Repeat and aggregate.
 //
 // FailureSimulator precomputes the repeater layout (positions and the
-// per-cable max-endpoint latitude) once per (network, spacing). Under the
-// any-failure rule the per-cable death probabilities depend only on the
-// (simulator, model) pair, so run_trials folds them into a
-// DeathProbabilityTable once up front and every trial is O(cables); the
-// kFractionFails extension must draw each repeater individually and stays
-// O(repeaters) per trial.
+// per-cable max-endpoint latitude) once per (network, spacing). Cables are
+// independent, so under either death rule a cable's fate in one draw is a
+// single Bernoulli trial whose probability depends only on the (simulator,
+// model) pair: P(at least k of its repeaters fail), a Poisson-binomial tail
+// with k = 1 under the any-failure rule. run_trials folds these into a
+// DeathProbabilityTable once up front and every trial is O(cables).
+//
+// The one draw: trial randomness is one uniform u per repeater-bearing
+// cable (mortal_cables(), ascending), and the cable is dead iff u < p. Every
+// engine — run_trials, TrialPipeline, TrialBatchKernel, SweepEngine,
+// TimelineEngine — consumes the stream this way, so one seed means one
+// storm everywhere.
 //
 // run_trials distributes trials over TrialConfig::threads workers. Trial t
 // always draws from Rng child stream t, trials are accumulated in
@@ -41,10 +47,9 @@ enum class CableDeathRule {
 };
 
 // Which engine run_trials (and TrialPipeline::run) uses for the trial loop.
-// kAuto picks the bit-parallel TrialBatch kernel whenever the rule admits it
-// (any-repeater-fails); the result is bit-identical to the scalar loop, so
-// kScalar exists for benchmarks and A/B verification, not for correctness.
-// kFractionFails always runs scalar regardless of this setting.
+// kAuto picks the bit-parallel TrialBatch kernel; the result is
+// bit-identical to the scalar loop, so kScalar exists for benchmarks and
+// A/B verification, not for correctness.
 enum class TrialEngine {
   kAuto,
   kScalar,
@@ -74,11 +79,49 @@ struct TrialConfig {
 inline constexpr std::size_t kMaxReasonableThreads = 65536;
 void validate_trial_config(const TrialConfig& config);
 
-// Per-cable death probabilities under the any-failure rule, fixed for a
-// given (simulator, model) pair. Building it costs one O(repeaters) pass;
-// sampling against it is O(cables) per draw.
+// Per-cable death probabilities under the simulator's rule, fixed for a
+// given (simulator, model) pair. Building it costs one O(repeaters) pass
+// (O(n^2) per n-repeater cable under kFractionFails); sampling against it
+// is O(cables) per draw.
 struct DeathProbabilityTable {
   std::vector<double> probability;  // indexed by CableId
+};
+
+// Poisson-binomial count of failed repeaters on one cable: P(exactly j of
+// the repeaters added so far failed), for j < states. Adding a repeater is
+// one convolution step.
+//   - at_least(1) = 1 - P(0) needs one state: the survival product
+//     prod(1 - p_i), multiplied in the order the repeaters are added, so
+//     the any-failure rule costs O(n) and allocates nothing.
+//   - at_least(k >= 2) sums the upper tail P(k) + P(k+1) + ... directly
+//     (no cancellation, so tiny tails keep their relative precision) and
+//     needs states > repeaters added: O(n^2) for an n-repeater cable. The
+//     sum reads only states <= n, so extra states do not change it.
+class RepeaterFailureCount {
+ public:
+  explicit RepeaterFailureCount(std::size_t states)
+      : more_(states > 1 ? states - 1 : 0, 0.0) {}
+
+  void add(double p) noexcept {
+    const double q = 1.0 - p;
+    for (std::size_t j = more_.size(); j > 1; --j) {
+      more_[j - 1] = more_[j - 1] * q + more_[j - 2] * p;
+    }
+    if (!more_.empty()) more_[0] = more_[0] * q + none_ * p;
+    none_ *= q;
+  }
+
+  // P(at least k of the added repeaters failed), k >= 1.
+  double at_least(std::size_t k) const noexcept {
+    if (k <= 1) return 1.0 - none_;
+    double tail = 0.0;
+    for (std::size_t j = more_.size(); j >= k; --j) tail += more_[j - 1];
+    return tail;
+  }
+
+ private:
+  double none_ = 1.0;          // P(no repeater failed)
+  std::vector<double> more_;   // more_[j - 1] = P(exactly j failed)
 };
 
 // Reusable per-worker scratch buffers for the trial loop, so repeated
@@ -104,8 +147,7 @@ class FailureSimulator {
     return repeaterless_cables_;
   }
   // Repeaters laid on one cable at the config's spacing. Cables with zero
-  // repeaters can never die of GIC; the sweep engine uses this to skip
-  // their draws exactly like sample_cable_failures does.
+  // repeaters can never die of GIC and take no draw.
   std::size_t cable_repeater_count(topo::CableId cable) const {
     if (cable + 1 >= cable_offset_.size()) {
       throw std::out_of_range("cable_repeater_count: cable id");
@@ -113,9 +155,21 @@ class FailureSimulator {
     return cable_offset_[cable + 1] - cable_offset_[cable];
   }
   double average_repeaters_per_cable() const noexcept;
+  // Repeater-bearing cables in ascending id order: the cables that take
+  // one uniform each per draw.
+  const std::vector<std::uint32_t>& mortal_cables() const noexcept {
+    return mortal_;
+  }
+  // The fewest failed repeaters that kill a cable carrying `repeaters`
+  // repeaters: 1 under the any-failure rule, the smallest k with
+  // k / repeaters >= death_fraction under kFractionFails (1 for a
+  // repeaterless cable, which then never dies). Non-decreasing in
+  // `repeaters`.
+  std::size_t lethal_failures(std::size_t repeaters) const;
 
-  // Exact per-cable death probability under the any-failure rule:
-  // 1 - prod(1 - p_i) over the cable's repeaters.
+  // Exact per-cable death probability under the config's rule: P(at least
+  // lethal_failures(n) of the cable's n repeaters fail). Under the
+  // any-failure rule this is 1 - prod(1 - p_i).
   double cable_death_probability(topo::CableId cable,
                                  const gic::RepeaterFailureModel& model) const;
 
@@ -124,20 +178,16 @@ class FailureSimulator {
   DeathProbabilityTable death_probability_table(
       const gic::RepeaterFailureModel& model) const;
 
-  // Samples which cables die in one event draw.
+  // The draw: resizes and fills `dead` with one uniform per mortal cable in
+  // ascending order, dead iff u < table.probability[c]. O(cables).
+  void sample_cable_failures(const DeathProbabilityTable& table,
+                             util::Rng& rng, util::Bitset& dead) const;
+  // Model overloads: fold the table for `model`, then the same draw.
   std::vector<bool> sample_cable_failures(
       const gic::RepeaterFailureModel& model, util::Rng& rng) const;
-  // In-place overloads: resize and fill `dead`, reusing its storage. Both
-  // containers consume the rng stream identically, so a Bitset draw is
-  // bit-equivalent to a vector<bool> draw from the same stream.
   void sample_cable_failures(const gic::RepeaterFailureModel& model,
                              util::Rng& rng, std::vector<bool>& dead) const;
   void sample_cable_failures(const gic::RepeaterFailureModel& model,
-                             util::Rng& rng, util::Bitset& dead) const;
-  // Table-accelerated draw (any-failure rule only — throws otherwise):
-  // O(cables) per draw against a prebuilt DeathProbabilityTable. This is
-  // the entry the sweep loops use.
-  void sample_cable_failures(const DeathProbabilityTable& table,
                              util::Rng& rng, util::Bitset& dead) const;
 
   TrialResult run_trial(const gic::RepeaterFailureModel& model,
@@ -151,17 +201,9 @@ class FailureSimulator {
                              std::size_t trials, std::uint64_t seed) const;
 
  private:
-  // Shared sampling core: uses `table` when non-null (any-failure rule
-  // only), otherwise evaluates the model directly. DeadSet is
-  // std::vector<bool> or util::Bitset; both consume the stream identically.
-  template <typename DeadSet>
-  void sample_into(const gic::RepeaterFailureModel& model,
-                   const DeathProbabilityTable* table, util::Rng& rng,
-                   DeadSet& dead) const;
   // One trial reduced to its two aggregate percentages, allocation-free
   // given warm scratch buffers.
-  void trial_percentages(const gic::RepeaterFailureModel& model,
-                         const DeathProbabilityTable* table, util::Rng& rng,
+  void trial_percentages(const DeathProbabilityTable& table, util::Rng& rng,
                          TrialScratch& scratch, double& cables_failed_pct,
                          double& nodes_unreachable_pct) const;
 
@@ -170,6 +212,7 @@ class FailureSimulator {
   // Flattened repeater contexts: per cable, [offset, offset+count).
   std::vector<gic::RepeaterContext> repeaters_;
   std::vector<std::size_t> cable_offset_;  // size cables+1
+  std::vector<std::uint32_t> mortal_;
   std::size_t total_repeaters_ = 0;
   std::size_t repeaterless_cables_ = 0;
   std::size_t connected_nodes_ = 0;

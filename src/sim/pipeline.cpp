@@ -14,13 +14,10 @@ TrialPipeline::TrialPipeline(const FailureSimulator& simulator,
     : sim_(simulator),
       model_(model),
       csr_(&simulator.network().csr()),
+      table_(simulator.death_probability_table(model)),
       connected_nodes_(simulator.network().connected_node_count()) {
-  use_table_ = sim_.config().rule == CableDeathRule::kAnyRepeaterFails;
-  if (use_table_) {
-    table_ = sim_.death_probability_table(model_);
-    if (sim_.config().engine != TrialEngine::kScalar) {
-      batch_kernel_ = std::make_unique<const TrialBatchKernel>(sim_, table_);
-    }
+  if (sim_.config().engine != TrialEngine::kScalar) {
+    batch_kernel_ = std::make_unique<const TrialBatchKernel>(sim_, table_);
   }
 }
 
@@ -42,11 +39,7 @@ void TrialPipeline::run_trial(std::size_t trial, const util::Rng& base,
                               PipelineScratch& scratch, std::size_t worker,
                               std::size_t chunk) const {
   util::Rng rng = base.split(trial);
-  if (use_table_) {
-    sim_.sample_cable_failures(table_, rng, scratch.cable_dead);
-  } else {
-    sim_.sample_cable_failures(model_, rng, scratch.cable_dead);
-  }
+  sim_.sample_cable_failures(table_, rng, scratch.cable_dead);
   const std::size_t failed = scratch.cable_dead.count();
   const std::size_t cables = network().cable_count();
   network().unreachable_nodes(scratch.cable_dead, scratch.unreachable);

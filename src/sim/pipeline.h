@@ -4,13 +4,12 @@
 // over the *same* storm realizations — cable loss, node reachability,
 // service/DNS availability and country isolation are facets of one failure
 // draw. TrialPipeline makes that structure explicit: each trial samples the
-// cable failures once (DeathProbabilityTable under the any-failure rule),
-// builds the alive mask and the CSR connected components once into
-// per-worker scratch, and fans a TrialView out to every registered
-// TrialObserver. Running N metrics costs one sampling + one component
-// decomposition per trial instead of N, and — because the observers all see
-// the same draw — cross-metric joint statistics (e.g. P(DNS degraded AND
-// >X% cables lost)) become expressible.
+// cable failures once from the DeathProbabilityTable, builds the alive mask
+// and the CSR connected components once into per-worker scratch, and fans a
+// TrialView out to every registered TrialObserver. Running N metrics costs
+// one sampling + one component decomposition per trial instead of N, and —
+// because the observers all see the same draw — cross-metric joint
+// statistics (e.g. P(DNS degraded AND >X% cables lost)) become expressible.
 //
 // Determinism contract (the run_trials discipline):
 //  - trial t always draws from Rng child stream t of the seed;
@@ -132,7 +131,7 @@ class TrialObserver {
   // Batch fast path. An observer that returns true here receives one
   // observe_batch() per 64-trial batch on the bit-parallel pipeline path
   // instead of 64 observe() calls (observe() is still required — the
-  // scalar path and kFractionFails use it). The batch spans whole chunks:
+  // scalar path uses it). The batch spans whole chunks:
   // lane t belongs to chunk first_chunk + t / TrialPipeline::kTrialChunk,
   // and accumulating lanes in ascending order into those slots must match
   // the scalar observe() sequence bit-for-bit.
@@ -188,9 +187,8 @@ class TrialPipeline {
     return (trials + kTrialChunk - 1) / kTrialChunk;
   }
 
-  // Folds the death-probability table once (any-failure rule); under
-  // kFractionFails trials sample the model directly. Simulator and model
-  // must outlive the pipeline.
+  // Folds the death-probability table once; every trial draws against it.
+  // Simulator and model must outlive the pipeline.
   TrialPipeline(const FailureSimulator& simulator,
                 const gic::RepeaterFailureModel& model);
 
@@ -199,6 +197,7 @@ class TrialPipeline {
     return sim_.network();
   }
   const gic::RepeaterFailureModel& model() const noexcept { return model_; }
+  const DeathProbabilityTable& table() const noexcept { return table_; }
 
   // Registers a metric (non-owning; the observer must outlive run()).
   void add_observer(TrialObserver& observer);
@@ -225,8 +224,8 @@ class TrialPipeline {
   // The bit-parallel trial loop: batches of TrialBatchKernel::kLanes trials,
   // batch-capable observers fed whole batches, the rest fed per-lane
   // TrialViews reconstructed from the batch (bit-identical to the scalar
-  // loop either way). Chosen by run() when the table path is active and the
-  // simulator's TrialConfig::engine is not kScalar.
+  // loop either way). Chosen by run() unless the simulator's
+  // TrialConfig::engine is kScalar.
   void run_batched(std::size_t trials, const util::Rng& base,
                    std::size_t workers) const;
 
@@ -234,11 +233,10 @@ class TrialPipeline {
   const gic::RepeaterFailureModel& model_;
   const graph::Csr* csr_;  // the network's cached CSR, resolved once
   DeathProbabilityTable table_;
-  bool use_table_ = false;
   std::size_t connected_nodes_ = 0;
   std::vector<TrialObserver*> observers_;
   bool needs_components_ = false;
-  // Built once in the constructor when the batch path is eligible, so run()
+  // Built once in the constructor unless kScalar is configured, so run()
   // does not pay kernel construction (or its allocations) per call.
   std::unique_ptr<const TrialBatchKernel> batch_kernel_;
   std::vector<TrialObserver*> batch_observers_;   // supports_batch()

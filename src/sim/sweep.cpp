@@ -16,12 +16,6 @@ SweepEngine::SweepEngine(const FailureSimulator& simulator,
       grid_size_(grid.size()),
       axis_(std::move(axis)),
       inc_(simulator.network()) {
-  if (sim_.config().rule != CableDeathRule::kAnyRepeaterFails) {
-    throw std::invalid_argument(
-        "SweepEngine: CRN grid thresholding models the any-repeater-fails "
-        "rule only; construct the FailureSimulator with "
-        "CableDeathRule::kAnyRepeaterFails");
-  }
   if (grid_size_ == 0) {
     throw std::invalid_argument("SweepEngine: empty probability grid");
   }
@@ -57,15 +51,6 @@ SweepEngine::SweepEngine(const FailureSimulator& simulator,
       probability_[c * grid_size_ + g] = p;
     }
   }
-
-  // The graph geometry for the resurrection walk (per-cable edges, unique
-  // incident nodes, connected-node denominator) lives in inc_; the engine
-  // only keeps the draw list of repeater-bearing cables.
-  for (topo::CableId c = 0; c < cables; ++c) {
-    if (sim_.cable_repeater_count(c) > 0) {
-      mortal_.push_back(static_cast<std::uint32_t>(c));
-    }
-  }
 }
 
 SweepEngine SweepEngine::uniform(const FailureSimulator& simulator,
@@ -85,18 +70,23 @@ SweepEngine SweepEngine::uniform(const FailureSimulator& simulator,
     throw std::invalid_argument(
         "SweepEngine::uniform: probabilities must be sorted ascending");
   }
-  // Closed form for the uniform model: every repeater fails i.i.d. with
-  // probability p, so a k-repeater cable dies with 1 - (1-p)^k. The powers
-  // are built by iterated multiplication (survive[k] = survive[k-1] *
-  // (1-p)), the same factor sequence death_probability_table multiplies
-  // per cable — so the tables are bit-identical to the generic path at
-  // O(cables + max_repeaters) per point instead of O(total_repeaters).
+  // Every repeater fails i.i.d. with probability p, so a cable's death
+  // probability depends only on its repeater count n. One
+  // RepeaterFailureCount per point adds repeaters one at a time and reads
+  // death[n] off after the n-th, through the same primitive and the same
+  // factor sequence cable_death_probability uses — so the tables are
+  // bit-identical to the generic path. Under the any-failure rule that is
+  // O(cables + max_repeaters) per point instead of O(total_repeaters);
+  // the fraction rule tracks the whole count distribution,
+  // O(cables + max_repeaters^2).
   const std::size_t cables = simulator.network().cable_count();
   std::size_t max_repeaters = 0;
   for (topo::CableId c = 0; c < cables; ++c) {
     max_repeaters = std::max(max_repeaters, simulator.cable_repeater_count(c));
   }
-  std::vector<double> survive(max_repeaters + 1);
+  const std::size_t states =
+      simulator.lethal_failures(max_repeaters) == 1 ? 1 : max_repeaters + 1;
+  std::vector<double> death(max_repeaters + 1);
   std::vector<DeathProbabilityTable> grid(probs.size());
   for (std::size_t g = 0; g < probs.size(); ++g) {
     const double p = probs[g];
@@ -104,14 +94,15 @@ SweepEngine SweepEngine::uniform(const FailureSimulator& simulator,
       throw std::invalid_argument(
           "SweepEngine::uniform: probability outside [0, 1]");
     }
-    survive[0] = 1.0;
-    for (std::size_t k = 1; k <= max_repeaters; ++k) {
-      survive[k] = survive[k - 1] * (1.0 - p);
+    RepeaterFailureCount count(states);
+    death[0] = count.at_least(simulator.lethal_failures(0));
+    for (std::size_t n = 1; n <= max_repeaters; ++n) {
+      count.add(p);
+      death[n] = count.at_least(simulator.lethal_failures(n));
     }
     grid[g].probability.resize(cables);
     for (topo::CableId c = 0; c < cables; ++c) {
-      const std::size_t k = simulator.cable_repeater_count(c);
-      grid[g].probability[c] = k == 0 ? 0.0 : 1.0 - survive[k];
+      grid[g].probability[c] = death[simulator.cable_repeater_count(c)];
     }
   }
   return SweepEngine(simulator, std::move(grid),
@@ -133,7 +124,7 @@ void SweepEngine::sample_death_grid_indices(
   // Repeaterless cables never die of GIC and consume no randomness,
   // exactly like sample_cable_failures; only the mortal list draws.
   out.assign(cables, grid);
-  for (const std::uint32_t c : mortal_) {
+  for (const std::uint32_t c : sim_.mortal_cables()) {
     const double u = rng.uniform();
     // The cable is dead at point g iff u < probability[g] (the Bernoulli
     // rule); its row is non-decreasing, so `u < row[g]` is a monotone
@@ -157,19 +148,20 @@ void SweepEngine::run_trial(util::Rng& rng, SweepScratch& s) const {
   // in ascending cable order), but batched: the serial rng dependency
   // chain runs alone, then the threshold counting loop vectorizes without
   // it. perf_sweep's brute-force gate checks the two stay identical.
-  s.uniforms.resize(mortal_.size());
-  for (std::size_t i = 0; i < mortal_.size(); ++i) {
+  const std::vector<std::uint32_t>& mortal = sim_.mortal_cables();
+  s.uniforms.resize(mortal.size());
+  for (std::size_t i = 0; i < mortal.size(); ++i) {
     s.uniforms[i] = rng.uniform();
   }
   s.death_index.assign(cables, static_cast<std::uint32_t>(grid));
-  for (std::size_t i = 0; i < mortal_.size(); ++i) {
+  for (std::size_t i = 0; i < mortal.size(); ++i) {
     const double u = s.uniforms[i];
-    const double* row = probability_.data() + mortal_[i] * grid;
+    const double* row = probability_.data() + mortal[i] * grid;
     std::uint32_t dead_points = 0;
     for (std::size_t g = 0; g < grid; ++g) {
       dead_points += u < row[g] ? 1u : 0u;
     }
-    s.death_index[mortal_[i]] = static_cast<std::uint32_t>(grid) - dead_points;
+    s.death_index[mortal[i]] = static_cast<std::uint32_t>(grid) - dead_points;
   }
 
   // Reverse-resurrection walk over the shared core. The alive set when the

@@ -81,11 +81,10 @@ struct SweepScratch {
 class SweepEngine {
  public:
   // Grid of per-cable death-probability tables ordered least to most
-  // severe. Throws std::invalid_argument when the simulator's rule is not
-  // kAnyRepeaterFails (CRN thresholding prices exactly that rule), when
-  // the grid is empty or a table's size mismatches the network, when a
-  // probability is outside [0, 1], or when the grid is not monotone
-  // non-decreasing per cable (the nesting the reverse walk relies on).
+  // severe. Throws std::invalid_argument when the grid is empty or a
+  // table's size mismatches the network, when a probability is outside
+  // [0, 1], or when the grid is not monotone non-decreasing per cable (the
+  // nesting the reverse walk relies on).
   // `axis` optionally labels the grid points (defaults to the grid index);
   // it must be empty or match the grid size. The simulator (and its
   // network) must outlive the engine.
@@ -94,9 +93,9 @@ class SweepEngine {
               std::vector<double> axis = {});
 
   // The paper's uniform-model grid: one table per probability, labelled by
-  // the probability. `probs` must be sorted ascending (duplicates allowed)
-  // — uniform death probabilities are monotone in p, so the grid validates
-  // by construction.
+  // the probability, under the simulator's death rule. `probs` must be
+  // sorted ascending (duplicates allowed) — uniform death probabilities are
+  // monotone in p, so the grid validates by construction.
   static SweepEngine uniform(const FailureSimulator& simulator,
                              std::span<const double> probs);
 
@@ -138,8 +137,6 @@ class SweepEngine {
   std::vector<double> probability_;
   // Shared resurrection-walk core (per-cable edges/nodes, flattened once).
   IncrementalConnectivity inc_;
-  // Repeater-bearing cables in ascending order — the only ones that draw.
-  std::vector<std::uint32_t> mortal_;
 };
 
 }  // namespace solarnet::sim

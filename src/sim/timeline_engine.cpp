@@ -50,12 +50,6 @@ TimelineEngine::TimelineEngine(const FailureSimulator& simulator,
       inc_(simulator.network()),
       fault_sampler_(simulator, table_),
       scheduler_(simulator.network(), config_.fleet) {
-  if (sim_.config().rule != CableDeathRule::kAnyRepeaterFails) {
-    throw std::invalid_argument(
-        "TimelineEngine: the proportional-hazard CRN threshold models the "
-        "any-repeater-fails rule only; construct the FailureSimulator with "
-        "CableDeathRule::kAnyRepeaterFails");
-  }
   const std::size_t cables = sim_.network().cable_count();
   if (table_.probability.size() != cables) {
     throw std::invalid_argument("TimelineEngine: table size mismatch");
@@ -105,9 +99,6 @@ TimelineEngine::TimelineEngine(const FailureSimulator& simulator,
           "TimelineEngine: death probability outside [0, 1]");
     }
     log_survival_[c] = std::log1p(-p);
-    if (sim_.cable_repeater_count(c) > 0) {
-      mortal_.push_back(static_cast<std::uint32_t>(c));
-    }
   }
 
   step_hour_ = config_.storm_hours;
@@ -147,21 +138,24 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
 
   // 1. CRN draw — one uniform per mortal cable, ascending, exactly like
   // SweepEngine::run_trial (serial rng chain first, thresholds after).
-  s.uniforms.resize(mortal_.size());
-  for (std::size_t i = 0; i < mortal_.size(); ++i) {
+  const std::vector<std::uint32_t>& mortal = sim_.mortal_cables();
+  s.uniforms.resize(mortal.size());
+  for (std::size_t i = 0; i < mortal.size(); ++i) {
     s.uniforms[i] = rng.uniform();
   }
 
   // 2. Per-cable first dead step. The cable is dead at step g iff
   // dose_share[g] > log1p(-u) / log1p(-p) (proportional hazard, logs taken
   // once); the share row is non-decreasing so the suffix count gives the
-  // first dead step, `storm_steps` meaning it survives the storm. u >= p
-  // makes the threshold >= 1 which no share exceeds — the u < p guard
-  // below is a fast path, not a correctness condition.
+  // first dead step, `storm_steps` meaning it survives the storm. The
+  // storm's last step (share 1.0) must decide exactly u < p, the end-state
+  // draw every other engine makes, so that test is taken directly: the
+  // guard skips u >= p, and a dead cable is dead at the last step at least
+  // even where rounding puts the log ratio at 1.0.
   s.fail_step.assign(cables, static_cast<std::uint32_t>(storm_steps));
   const double* share = config_.dose_share.data();
-  for (std::size_t i = 0; i < mortal_.size(); ++i) {
-    const std::uint32_t c = mortal_[i];
+  for (std::size_t i = 0; i < mortal.size(); ++i) {
+    const std::uint32_t c = mortal[i];
     const double u = s.uniforms[i];
     if (!(u < table_.probability[c])) continue;
     const double threshold = std::log1p(-u) / log_survival_[c];
@@ -169,7 +163,8 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
     for (std::size_t g = 0; g < storm_steps; ++g) {
       dead_steps += share[g] > threshold ? 1u : 0u;
     }
-    s.fail_step[c] = static_cast<std::uint32_t>(storm_steps) - dead_steps;
+    s.fail_step[c] =
+        static_cast<std::uint32_t>(storm_steps) - std::max(dead_steps, 1u);
   }
 
   // 3. Storm walk: failures accumulate forward in time, so the

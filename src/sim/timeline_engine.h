@@ -154,12 +154,12 @@ class TimelineEngine {
   // `table` is the end-state per-cable death probability the storm spreads
   // over time (plain death_probability_table(model), or the spliced table
   // from core::plan_shutdown when a shutdown policy gates which cables can
-  // fail at all). Throws std::invalid_argument when the simulator's rule
-  // is not kAnyRepeaterFails, the table size mismatches the network, a
-  // probability is outside [0, 1], or the config axis is malformed (empty
-  // / non-increasing hours, dose_share not a [0,1] non-decreasing sequence
-  // ending at exactly 1.0, zero repair steps, non-positive step width,
-  // empty fleet). The simulator and its network must outlive the engine.
+  // fail at all). Throws std::invalid_argument when the table size
+  // mismatches the network, a probability is outside [0, 1], or the config
+  // axis is malformed (empty / non-increasing hours, dose_share not a
+  // [0,1] non-decreasing sequence ending at exactly 1.0, zero repair
+  // steps, non-positive step width, empty fleet). The simulator and its
+  // network must outlive the engine.
   TimelineEngine(const FailureSimulator& simulator, DeathProbabilityTable table,
                  TimelineConfig config);
 
@@ -217,8 +217,6 @@ class TimelineEngine {
   IncrementalConnectivity inc_;
   recovery::FaultSampler fault_sampler_;
   recovery::RepairScheduler scheduler_;
-  // Repeater-bearing cables in ascending order — the only ones that draw.
-  std::vector<std::uint32_t> mortal_;
   // Per cable: log1p(-p_c), the hazard denominator (0 for immortal cables,
   // -inf for p_c == 1 — both handled branch-free by the threshold test).
   std::vector<double> log_survival_;

@@ -9,11 +9,14 @@ namespace solarnet::sim {
 
 namespace {
 
-// ceil(p * 2^53) for p in (0, 1). Both the product (a power-of-two scale of
-// a double) and the ceil are exact, so the integer test
-// (next_u64() >> 11) < threshold decides exactly like uniform() < p.
+// ceil(p * 2^53). Both the product (a power-of-two scale of a double) and
+// the ceil are exact, so the integer test (next_u64() >> 11) < threshold
+// decides exactly like uniform() < p: never at p = 0, always at p = 1.
+// Values outside [0, 1] (and NaN, which uniform() < p never passes) are
+// clamped first so the conversion stays defined.
 std::uint64_t bernoulli_threshold(double p) {
-  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  if (!(p > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::ceil(std::min(p, 1.0) * 0x1.0p53));
 }
 
 }  // namespace
@@ -21,11 +24,6 @@ std::uint64_t bernoulli_threshold(double p) {
 TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
                                    const DeathProbabilityTable& table)
     : sim_(simulator) {
-  if (simulator.config().rule != CableDeathRule::kAnyRepeaterFails) {
-    throw std::invalid_argument(
-        "TrialBatchKernel: only the any-repeater-fails rule has a batched "
-        "form (kFractionFails draws per repeater)");
-  }
   const topo::InfrastructureNetwork& net = simulator.network();
   cables_ = net.cable_count();
   if (table.probability.size() != cables_) {
@@ -33,19 +31,12 @@ TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
   }
   connected_nodes_ = net.connected_node_count();
 
-  // Mirror the scalar sampler's stream discipline exactly: cables ascending;
-  // repeaterless cables and p <= 0 never draw and never die; p >= 1 dies
-  // without drawing; only 0 < p < 1 consumes one uniform per trial.
-  for (topo::CableId c = 0; c < cables_; ++c) {
-    if (simulator.cable_repeater_count(c) == 0) continue;
-    const double p = table.probability[c];
-    if (p <= 0.0) continue;
-    if (p >= 1.0) {
-      certain_dead_.push_back(static_cast<std::uint32_t>(c));
-      continue;
-    }
-    consumer_cable_.push_back(static_cast<std::uint32_t>(c));
-    consumer_threshold_.push_back(bernoulli_threshold(p));
+  // The scalar draw's stream discipline: one uniform per mortal cable, in
+  // ascending cable order, whatever its probability.
+  const std::vector<std::uint32_t>& mortal = simulator.mortal_cables();
+  threshold_.reserve(mortal.size());
+  for (const std::uint32_t c : mortal) {
+    threshold_.push_back(bernoulli_threshold(table.probability[c]));
   }
 
   // Node -> cable incidence over cable-bearing nodes only (the universe of
@@ -78,13 +69,10 @@ void TrialBatchKernel::sample(const util::Rng& base, std::size_t first_trial,
                                   : (std::uint64_t{1} << lanes) - 1;
   out.cable_dead.assign(cables_, 0);
   out.lane_rng.resize(lanes, util::Rng(0));
-  for (const std::uint32_t c : certain_dead_) {
-    out.cable_dead[c] = out.lane_mask;
-  }
 
-  const std::size_t n = consumer_cable_.size();
-  const std::uint32_t* cable = consumer_cable_.data();
-  const std::uint64_t* threshold = consumer_threshold_.data();
+  const std::size_t n = threshold_.size();
+  const std::uint32_t* cable = sim_.mortal_cables().data();
+  const std::uint64_t* threshold = threshold_.data();
   std::uint64_t* dead = out.cable_dead.data();
 
   // Four lanes per pass: the xoshiro update is a serial dependency chain,

@@ -13,12 +13,12 @@
 //     union-find in graph/batch_components.h.
 //
 // Determinism contract: trial t still draws from base.split(t) and
-// consumes exactly the uniforms the scalar sampler would (one per cable
-// with death probability in (0, 1), ascending cable order), so the batch
-// dead sets are bit-identical to FailureSimulator::sample_cable_failures
-// on the same stream, and batch.lane_rng[t - first_trial] is the trial's
-// stream state after the draw — an observer that derives substreams from
-// it sees exactly what the scalar path would hand it. The Bernoulli
+// consumes exactly the uniforms the scalar sampler would (one per mortal
+// cable, ascending cable order), so the batch dead sets are bit-identical
+// to FailureSimulator::sample_cable_failures on the same stream, and
+// batch.lane_rng[t - first_trial] is the trial's stream state after the
+// draw — an observer that derives substreams from it sees exactly what the
+// scalar path would hand it. The Bernoulli
 // comparison uniform() < p is evaluated as the exact integer test
 // (next_u64() >> 11) < ceil(p * 2^53): uniform() is k * 2^-53 with k and
 // the product exactly representable, so the two forms decide identically
@@ -28,8 +28,6 @@
 // TrialBatchKernel is built once per (simulator, death table) and is
 // immutable afterwards; sampling and the aggregate passes are
 // allocation-free once the caller's TrialBatch / scratch are warm.
-// kFractionFails draws each repeater individually and has no batched form
-// — callers keep the scalar path there (run_trials does this).
 #pragma once
 
 #include <cstdint>
@@ -66,10 +64,10 @@ class TrialBatchKernel {
   static constexpr unsigned kLanes = 64;
 
   // Snapshots the (simulator, table) pair: per-cable thresholds, the
-  // node->cable incidence, and the edge->cable map. Any-failure rule only
-  // (the table path); throws std::invalid_argument otherwise or on a table
-  // size mismatch. Simulator and its network must outlive the kernel; the
-  // table is copied into thresholds and need not.
+  // node->cable incidence, and the edge->cable map. Throws
+  // std::invalid_argument on a table size mismatch. Simulator and its
+  // network must outlive the kernel; the table is copied into thresholds
+  // and need not.
   TrialBatchKernel(const FailureSimulator& simulator,
                    const DeathProbabilityTable& table);
 
@@ -102,12 +100,10 @@ class TrialBatchKernel {
   const FailureSimulator& sim_;
   std::size_t cables_ = 0;
   std::size_t connected_nodes_ = 0;
-  // Cables whose draw consumes one uniform per trial (0 < p < 1), in
-  // ascending cable order — the scalar sampler's exact stream discipline.
-  std::vector<std::uint32_t> consumer_cable_;
-  std::vector<std::uint64_t> consumer_threshold_;  // ceil(p * 2^53)
-  // Repeater-bearing cables with p >= 1: dead in every lane, no draw.
-  std::vector<std::uint32_t> certain_dead_;
+  // ceil(p * 2^53) per entry of the simulator's mortal_cables(): each
+  // mortal cable consumes one uniform per trial in ascending cable order —
+  // the scalar draw's exact stream discipline.
+  std::vector<std::uint64_t> threshold_;
   // Flattened node->cable incidence over nodes with >= 1 cable (node ids
   // are irrelevant to the count, so only offsets and cable ids are kept).
   std::vector<std::uint32_t> node_offset_;

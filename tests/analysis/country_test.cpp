@@ -115,6 +115,29 @@ TEST_F(CountryTest, CountryConnectivitySummary) {
   EXPECT_GT(br.expected_surviving_cables, 0.5);
 }
 
+TEST_F(CountryTest, DeathRuleChangesCorridorRisk) {
+  // The transatlantic corridor is two multi-repeater cables: needing half
+  // of a cable's repeaters to fail is far less likely than needing one, so
+  // the analytic cut-off risk and the country summary move with the rule.
+  const sim::FailureSimulator any(net_, {});
+  sim::TrialConfig cfg;
+  cfg.rule = sim::CableDeathRule::kFractionFails;
+  cfg.death_fraction = 0.5;
+  const sim::FailureSimulator frac(net_, cfg);
+  const auto s1 = gic::LatitudeBandFailureModel::s1();
+  const auto corridor = corridor_cables(net_, {"US"}, {"GB", "FR"});
+  const double any_cutoff = all_fail_probability(any, s1, corridor);
+  const double frac_cutoff = all_fail_probability(frac, s1, corridor);
+  EXPECT_GT(any_cutoff, 0.5);
+  EXPECT_LT(frac_cutoff, 0.5 * any_cutoff);
+
+  const auto any_us = country_connectivity(net_, any, s1, "US");
+  const auto frac_us = country_connectivity(net_, frac, s1, "US");
+  EXPECT_LT(frac_us.all_fail_probability, any_us.all_fail_probability);
+  EXPECT_GT(frac_us.expected_surviving_cables,
+            any_us.expected_surviving_cables);
+}
+
 TEST_F(CountryTest, PaperShapeUsEuropeVsBrazilEurope) {
   // §4.3.4's headline: the US loses Europe before Brazil does, because the
   // Brazil-Europe cable is shorter and lands lower.

@@ -53,6 +53,26 @@ TEST(TopologyPlanner, LowLatitudeBeatsNorthernCandidate) {
   EXPECT_GE(ranked[0].risk_reduction(), ranked[1].risk_reduction());
 }
 
+TEST(TopologyPlanner, DeathRuleChangesEvaluation) {
+  // Ablation of the cable-death rule: under ">= 50% of repeaters fail" the
+  // northern cable and the candidate are both far likelier to survive, so
+  // the planner sees a different corridor than under any-repeater-fails.
+  sim::TrialConfig frac_cfg;
+  frac_cfg.rule = sim::CableDeathRule::kFractionFails;
+  frac_cfg.death_fraction = 0.5;
+  const TopologyPlanner any_planner(tiny_net(), {});
+  const TopologyPlanner frac_planner(tiny_net(), frac_cfg);
+  const auto s1 = gic::LatitudeBandFailureModel::s1();
+  const CandidateCable candidate{"Miami", "Lisbon", 0.0};
+  const CandidateEvaluation any =
+      any_planner.evaluate(candidate, s1, {"US"}, {"GB", "PT"});
+  const CandidateEvaluation frac =
+      frac_planner.evaluate(candidate, s1, {"US"}, {"GB", "PT"});
+  EXPECT_LT(frac.corridor_cutoff_before, any.corridor_cutoff_before);
+  EXPECT_LT(frac.corridor_cutoff_after, any.corridor_cutoff_after);
+  EXPECT_LT(frac.death_probability, any.death_probability);
+}
+
 TEST(TopologyPlanner, ExplicitLengthRespected) {
   const TopologyPlanner planner(tiny_net(), {});
   const auto s2 = gic::LatitudeBandFailureModel::s2();

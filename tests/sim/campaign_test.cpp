@@ -395,6 +395,44 @@ TEST_F(CampaignCorruptionTest, MismatchedCampaignRejectsCheckpoint) {
   expect_bundles_eq(campaign, reference);
 }
 
+TEST_F(CampaignCorruptionTest, CheckpointOfAnotherModelIsRejected) {
+  // An S1 checkpoint must not resume into an S2 campaign with the same
+  // trials and seed: the death table is part of the fingerprint.
+  const FailureSimulator simulator(net_, {});
+  write_full_checkpoint(simulator);
+
+  const auto s2 = gic::LatitudeBandFailureModel::s2();
+  Bundle reference(simulator, s2, net_, service_spec(), dns_roots());
+  reference.pipeline.run(kTrials, kSeed);
+
+  Bundle campaign(simulator, s2, net_, service_spec(), dns_roots());
+  const CampaignReport report =
+      campaign.campaign.run(options(kTrials, kSeed, 1));
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.resume_status.code(), util::ErrorCode::kMismatch);
+  EXPECT_EQ(report.chunks_executed, 5u);
+  expect_bundles_eq(campaign, reference);
+}
+
+TEST_F(CampaignCorruptionTest, CheckpointOfAnotherSpacingIsRejected) {
+  const FailureSimulator simulator(net_, {});
+  write_full_checkpoint(simulator);
+
+  TrialConfig dense;
+  dense.repeater_spacing_km = 50.0;
+  const FailureSimulator dense_simulator(net_, dense);
+  Bundle reference = make_bundle(dense_simulator);
+  reference.pipeline.run(kTrials, kSeed);
+
+  Bundle campaign = make_bundle(dense_simulator);
+  const CampaignReport report =
+      campaign.campaign.run(options(kTrials, kSeed, 1));
+  EXPECT_FALSE(report.resumed);
+  EXPECT_EQ(report.resume_status.code(), util::ErrorCode::kMismatch);
+  EXPECT_EQ(report.chunks_executed, 5u);
+  expect_bundles_eq(campaign, reference);
+}
+
 TEST_F(CampaignCorruptionTest, StrictResumeThrowsInsteadOfRestarting) {
   const FailureSimulator simulator(net_, {});
   std::string clean = write_full_checkpoint(simulator);

@@ -9,6 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "topology/repeater.h"
+#include "util/bitset.h"
+
 namespace solarnet::sim {
 namespace {
 
@@ -293,8 +296,8 @@ TEST_F(SimTest, AggregateBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(SimTest, AggregateBitIdenticalAcrossThreadCountsFractionRule) {
-  // The kFractionFails path has no probability table; the parallel loop
-  // must still be thread-count independent.
+  // Under kFractionFails the table holds the rule's tail probabilities;
+  // the parallel loop must still be thread-count independent.
   const gic::UniformFailureModel m(0.4);
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;
@@ -344,6 +347,221 @@ TEST_F(SimTest, EmptyNetworkSafe) {
   const gic::UniformFailureModel m(0.5);
   const AggregateResult r = sim.run_trials(m, 5, 1);
   EXPECT_DOUBLE_EQ(r.cables_failed_pct.mean(), 0.0);
+}
+
+// --- the fraction rule folded into the death table --------------------------
+
+// Per-repeater probabilities that differ along a cable, so the
+// Poisson-binomial tail is exercised with unequal p_i.
+class VaryingFailureModel final : public gic::RepeaterFailureModel {
+ public:
+  double failure_probability(const gic::RepeaterContext& ctx) const override {
+    const double x = std::sin(ctx.location.lat_deg * 12.9898 +
+                              ctx.location.lon_deg * 78.233);
+    return 0.05 + 0.9 * x * x;
+  }
+  std::string name() const override { return "varying"; }
+};
+
+// P(at least k of the Bernoulli(p_i) fail), summed over all 2^n outcomes.
+double brute_force_tail(const std::vector<double>& p, std::size_t k) {
+  double tail = 0.0;
+  for (std::uint32_t outcome = 0; outcome < (1u << p.size()); ++outcome) {
+    double prob = 1.0;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const bool fails = (outcome >> i) & 1u;
+      prob *= fails ? p[i] : 1.0 - p[i];
+      failed += fails ? 1 : 0;
+    }
+    if (failed >= k) tail += prob;
+  }
+  return tail;
+}
+
+// The repeater contexts a simulator builds for `cable`, rebuilt here so the
+// references below do not read the simulator's internals.
+std::vector<double> repeater_probabilities(
+    const topo::InfrastructureNetwork& net, topo::CableId cable,
+    double spacing_km, const gic::RepeaterFailureModel& model) {
+  std::vector<double> p;
+  for (const topo::Repeater& r : topo::repeater_positions(
+           net.cable(cable), cable, net.nodes(), spacing_km)) {
+    p.push_back(model.failure_probability(
+        {r.location, net.cable_max_abs_latitude(cable)}));
+  }
+  return p;
+}
+
+// The smallest k with double(k) / n >= fraction, by linear search.
+std::size_t lethal_by_search(std::size_t n, double fraction) {
+  std::size_t k = 0;
+  while (static_cast<double>(k) / static_cast<double>(n) < fraction) ++k;
+  return k;
+}
+
+TEST(RepeaterFailureCountTest, TailMatchesBruteForceEnumeration) {
+  util::Rng rng(12);
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (int round = 0; round < 4; ++round) {
+      std::vector<double> p(n);
+      for (double& v : p) v = rng.uniform();
+      if (round == 1) p[0] = 1.0;  // certain and impossible repeaters
+      if (round == 2) p[n - 1] = 0.0;
+      RepeaterFailureCount count(n + 1);
+      for (const double v : p) count.add(v);
+      // More states than repeaters leave every tail unchanged.
+      RepeaterFailureCount wide(n + 5);
+      for (const double v : p) wide.add(v);
+      for (std::size_t k = 1; k <= n; ++k) {
+        EXPECT_NEAR(count.at_least(k), brute_force_tail(p, k), 1e-12)
+            << "n " << n << " k " << k;
+        EXPECT_EQ(wide.at_least(k), count.at_least(k));
+      }
+    }
+  }
+}
+
+TEST(RepeaterFailureCountTest, TinyTailsKeepRelativePrecision) {
+  // Six of twelve 1e-3 repeaters: the tail is ~9e-16, below the rounding
+  // error of 1 - P(fewer than six), and must still come out to ~1e-9
+  // relative accuracy.
+  const std::vector<double> p(12, 1e-3);
+  RepeaterFailureCount count(p.size() + 1);
+  for (const double v : p) count.add(v);
+  for (std::size_t k = 2; k <= p.size(); ++k) {
+    const double expected = brute_force_tail(p, k);
+    EXPECT_NEAR(count.at_least(k), expected, 1e-9 * expected) << "k " << k;
+  }
+}
+
+TEST(RepeaterFailureCountTest, CapOneIsTheSurvivalProduct) {
+  // The any-failure rule's probability is bit-identical to
+  // 1 - prod(1 - p_i) multiplied in repeater order.
+  util::Rng rng(3);
+  for (int round = 0; round < 100; ++round) {
+    RepeaterFailureCount count(1);
+    double survive = 1.0;
+    for (int i = 0; i < 1 + round % 40; ++i) {
+      const double p = rng.uniform() * 0.2;
+      count.add(p);
+      survive *= 1.0 - p;
+    }
+    EXPECT_EQ(count.at_least(1), 1.0 - survive);
+  }
+}
+
+TEST_F(SimTest, LethalFailuresFollowsTheRule) {
+  const FailureSimulator any(net_, {});
+  TrialConfig cfg;
+  cfg.rule = CableDeathRule::kFractionFails;
+  for (const double fraction : {0.1, 0.3, 0.5, 0.7, 1.0}) {
+    cfg.death_fraction = fraction;
+    const FailureSimulator frac(net_, cfg);
+    EXPECT_EQ(frac.lethal_failures(0), 1u);
+    std::size_t previous = 1;
+    for (std::size_t n = 1; n <= 200; ++n) {
+      EXPECT_EQ(any.lethal_failures(n), 1u);
+      const std::size_t k = frac.lethal_failures(n);
+      EXPECT_EQ(k, lethal_by_search(n, fraction)) << "n " << n;
+      EXPECT_GE(k, previous);
+      previous = k;
+    }
+  }
+}
+
+TEST_F(SimTest, FractionDeathProbabilityMatchesBruteForce) {
+  const VaryingFailureModel model;
+  TrialConfig cfg;
+  cfg.rule = CableDeathRule::kFractionFails;
+  for (const double spacing : {150.0, 125.0, 300.0}) {
+    for (const double fraction : {0.2, 0.5, 0.75, 1.0}) {
+      cfg.repeater_spacing_km = spacing;
+      cfg.death_fraction = fraction;
+      const FailureSimulator sim(net_, cfg);
+      for (const topo::CableId c : {high_, low_, short_}) {
+        const auto p = repeater_probabilities(net_, c, spacing, model);
+        ASSERT_LE(p.size(), 12u);
+        const double expected =
+            p.empty()
+                ? 0.0
+                : brute_force_tail(p, lethal_by_search(p.size(), fraction));
+        EXPECT_NEAR(sim.cable_death_probability(c, model), expected, 1e-12)
+            << "cable " << c << " spacing " << spacing << " fraction "
+            << fraction;
+      }
+    }
+  }
+}
+
+TEST_F(SimTest, FractionRuleStricterThanAnyRule) {
+  TrialConfig cfg;
+  cfg.rule = CableDeathRule::kFractionFails;
+  cfg.death_fraction = 0.5;
+  const FailureSimulator frac(net_, cfg);
+  const FailureSimulator any(net_, {});
+  const gic::UniformFailureModel m(0.1);
+  EXPECT_LT(frac.cable_death_probability(low_, m),
+            any.cable_death_probability(low_, m));
+  // Certain failure kills under both rules; repeaterless never dies.
+  EXPECT_EQ(frac.cable_death_probability(low_, gic::UniformFailureModel(1.0)),
+            1.0);
+  EXPECT_EQ(frac.cable_death_probability(short_, m), 0.0);
+}
+
+// The sampler the fraction rule used before it was folded into the table:
+// every repeater drawn individually, the cable dead once the failed share
+// reaches the fraction.
+std::vector<bool> per_repeater_draw(const FailureSimulator& sim,
+                                    const gic::RepeaterFailureModel& model,
+                                    util::Rng& rng) {
+  const topo::InfrastructureNetwork& net = sim.network();
+  std::vector<bool> dead(net.cable_count(), false);
+  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
+    const auto p = repeater_probabilities(
+        net, c, sim.config().repeater_spacing_km, model);
+    if (p.empty()) continue;
+    std::size_t failed = 0;
+    for (const double v : p) failed += rng.bernoulli(v) ? 1 : 0;
+    dead[c] = static_cast<double>(failed) / static_cast<double>(p.size()) >=
+              sim.config().death_fraction;
+  }
+  return dead;
+}
+
+TEST_F(SimTest, FractionTableDrawAgreesWithPerRepeaterSampler) {
+  const VaryingFailureModel model;
+  TrialConfig cfg;
+  cfg.rule = CableDeathRule::kFractionFails;
+  cfg.death_fraction = 0.5;
+  const FailureSimulator sim(net_, cfg);
+  const DeathProbabilityTable table = sim.death_probability_table(model);
+  constexpr std::size_t kDraws = 20000;
+  std::vector<double> old_hits(net_.cable_count(), 0.0);
+  std::vector<double> new_hits(net_.cable_count(), 0.0);
+  const util::Rng old_base(101);
+  const util::Rng new_base(202);
+  util::Bitset dead;
+  for (std::size_t d = 0; d < kDraws; ++d) {
+    util::Rng old_rng = old_base.split(d);
+    const auto reference = per_repeater_draw(sim, model, old_rng);
+    util::Rng new_rng = new_base.split(d);
+    sim.sample_cable_failures(table, new_rng, dead);
+    for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
+      old_hits[c] += reference[c] ? 1.0 : 0.0;
+      new_hits[c] += dead.test(c) ? 1.0 : 0.0;
+    }
+  }
+  for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
+    const double p = table.probability[c];
+    const double se = std::sqrt(p * (1.0 - p) / kDraws);
+    // Both samplers estimate the table's probability (5 standard errors),
+    // and hence each other.
+    EXPECT_NEAR(old_hits[c] / kDraws, p, 5.0 * se + 1e-12) << "cable " << c;
+    EXPECT_NEAR(new_hits[c] / kDraws, p, 5.0 * se + 1e-12) << "cable " << c;
+  }
+  EXPECT_GT(table.probability[high_], 0.05);
+  EXPECT_LT(table.probability[high_], 0.95);
 }
 
 }  // namespace

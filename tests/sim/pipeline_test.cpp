@@ -119,9 +119,8 @@ TEST_F(PipelineTest, ConnectivityObserverMatchesRunTrialsBitForBit) {
 }
 
 TEST_F(PipelineTest, SupportsFractionFailsRule) {
-  // The pipeline falls back to direct model sampling under kFractionFails
-  // (no death-probability table exists for that rule) and still matches
-  // run_trials draw for draw.
+  // Under kFractionFails the pipeline draws against the rule's death table
+  // like any other and matches run_trials draw for draw.
   const gic::UniformFailureModel model(0.4);
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "analysis/connectivity.h"
+#include "gic/failure_model.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::sim {
@@ -73,14 +75,49 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
   return net;
 }
 
-TEST_F(SweepTest, RejectsFractionFailsRule) {
+TEST_F(SweepTest, FractionFailsRuleMatchesTableDraw) {
+  // Under kFractionFails the uniform grid holds the rule's tail
+  // probabilities (bit-identical to death_probability_table), and the dead
+  // set at each point is the scalar table draw on the same stream.
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;
+  cfg.death_fraction = 0.5;
   const FailureSimulator sim(net_, cfg);
-  const std::vector<double> probs = {0.1, 0.5};
-  EXPECT_THROW(SweepEngine::uniform(sim, probs), std::invalid_argument);
-  EXPECT_THROW(analysis::uniform_failure_sweep(sim, probs, 4, 1),
-               std::invalid_argument);
+  const std::vector<double> probs = {0.1, 0.5, 0.9};
+  const SweepEngine engine = SweepEngine::uniform(sim, probs);
+  std::vector<DeathProbabilityTable> tables;
+  for (std::size_t g = 0; g < probs.size(); ++g) {
+    tables.push_back(
+        sim.death_probability_table(gic::UniformFailureModel(probs[g])));
+    for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
+      EXPECT_EQ(engine.grid_probability(g, c), tables[g].probability[c]);
+    }
+  }
+  EXPECT_LT(engine.grid_probability(0, high_),
+            FailureSimulator(net_, {}).cable_death_probability(
+                high_, gic::UniformFailureModel(probs[0])));
+
+  const util::Rng base(5);
+  std::vector<std::uint32_t> index;
+  util::Bitset dead;
+  for (std::size_t t = 0; t < 64; ++t) {
+    util::Rng rng = base.split(t);
+    engine.sample_death_grid_indices(rng, index);
+    for (std::size_t g = 0; g < probs.size(); ++g) {
+      util::Rng scalar_rng = base.split(t);
+      sim.sample_cable_failures(tables[g], scalar_rng, dead);
+      for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
+        EXPECT_EQ(index[c] <= g, dead.test(c)) << "trial " << t;
+      }
+    }
+  }
+
+  const auto points = analysis::uniform_failure_sweep(sim, probs, 40, 3);
+  const SweepResult result = engine.run(40, 3);
+  for (std::size_t g = 0; g < probs.size(); ++g) {
+    EXPECT_EQ(points[g].cables_failed_mean_pct,
+              result.points[g].cables_failed_pct.mean());
+  }
 }
 
 TEST_F(SweepTest, RejectsBadGrids) {

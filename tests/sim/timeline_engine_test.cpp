@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "gic/failure_model.h"
 #include "graph/components.h"
 #include "topology/network.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::sim {
@@ -88,15 +90,6 @@ TEST_F(TimelineEngineTest, FromProfileRejectsBadArguments) {
 
 TEST_F(TimelineEngineTest, ConstructorRejectsBadInputs) {
   const FailureSimulator sim(net_, {});
-
-  // Wrong cable-death rule: the CRN hazard threshold models
-  // any-repeater-fails only.
-  TrialConfig fraction;
-  fraction.rule = CableDeathRule::kFractionFails;
-  const FailureSimulator bad_rule(net_, fraction);
-  EXPECT_THROW(
-      TimelineEngine(bad_rule, uniform_table(net_, 0.1), small_config()),
-      std::invalid_argument);
 
   // Table size mismatch.
   DeathProbabilityTable short_table;
@@ -214,6 +207,57 @@ TEST_F(TimelineEngineTest, StormEndReproducesEndStateCrnDraw) {
           << "trial " << trial << " cable " << c;
     }
   }
+}
+
+TEST_F(TimelineEngineTest, FractionFailsRuleStormEndMatchesTableDraw) {
+  // The fraction rule lives in the table, so the engine takes it like any
+  // other rule and the storm's last step is the scalar table draw.
+  TrialConfig fraction;
+  fraction.rule = CableDeathRule::kFractionFails;
+  fraction.death_fraction = 0.5;
+  const FailureSimulator sim(net_, fraction);
+  const auto table = sim.death_probability_table(gic::UniformFailureModel(0.3));
+  const TimelineEngine engine(sim, table, small_config());
+  const std::size_t storm_steps = engine.storm_step_count();
+  TimelineScratch scratch;
+  util::Bitset dead;
+  const util::Rng base(77);
+  for (std::size_t trial = 0; trial < 32; ++trial) {
+    util::Rng rng = base.split(trial);
+    engine.playback(rng, scratch);
+    util::Rng scalar_rng = base.split(trial);
+    sim.sample_cable_failures(table, scalar_rng, dead);
+    for (topo::CableId c = 0; c < net_.cable_count(); ++c) {
+      EXPECT_EQ(scratch.fail_step[c] < storm_steps, dead.test(c))
+          << "trial " << trial << " cable " << c;
+    }
+  }
+}
+
+TEST_F(TimelineEngineTest, StormEndDecidesExactlyAtTheBoundary) {
+  // p one ulp above the trial's own u: the end-state draw kills the cable,
+  // but log1p(-u) / log1p(-p) can round to exactly 1.0, which no dose
+  // share exceeds. The storm end must still be the end-state draw.
+  const FailureSimulator sim(net_, {});
+  const util::Rng base(2718);
+  std::size_t checked = 0;
+  for (std::size_t trial = 0; trial < 64; ++trial) {
+    util::Rng replay = base.split(trial);
+    DeathProbabilityTable table = uniform_table(net_, 0.0);
+    for (const std::uint32_t c : sim.mortal_cables()) {
+      table.probability[c] = std::nextafter(replay.uniform(), 1.0);
+    }
+    const TimelineEngine engine(sim, table, small_config());
+    TimelineScratch scratch;
+    util::Rng rng = base.split(trial);
+    engine.playback(rng, scratch);
+    for (const std::uint32_t c : sim.mortal_cables()) {
+      EXPECT_LT(scratch.fail_step[c], engine.storm_step_count())
+          << "trial " << trial << " cable " << c;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500u);
 }
 
 // Per-step cross-check against a naive full recompute: at storm step g the

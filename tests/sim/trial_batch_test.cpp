@@ -188,14 +188,27 @@ TEST(TrialBatchProperty, RandomNetworksMatchScalarEngine) {
   }
 }
 
-TEST_F(TrialBatchTest, KernelValidatesRuleAndTable) {
+TEST_F(TrialBatchTest, KernelValidatesTableAndMatchesFractionRule) {
+  // The fraction rule is folded into the table, so the kernel takes it like
+  // any other table and its lanes are the scalar table draw.
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;
   cfg.death_fraction = 0.5;
   const FailureSimulator fraction_sim(net_, cfg);
-  DeathProbabilityTable table;
-  table.probability.assign(net_.cable_count(), 0.1);
-  EXPECT_THROW(TrialBatchKernel(fraction_sim, table), std::invalid_argument);
+  const gic::UniformFailureModel uniform(0.3);
+  const auto fraction_table = fraction_sim.death_probability_table(uniform);
+  const TrialBatchKernel fraction_kernel(fraction_sim, fraction_table);
+  const util::Rng base(17);
+  TrialBatch fraction_batch;
+  fraction_kernel.sample(base, 0, TrialBatchKernel::kLanes, fraction_batch);
+  util::Bitset lane_dead;
+  util::Bitset scalar_dead;
+  for (unsigned lane = 0; lane < TrialBatchKernel::kLanes; ++lane) {
+    util::Rng rng = base.split(lane);
+    fraction_sim.sample_cable_failures(fraction_table, rng, scalar_dead);
+    fraction_kernel.extract_lane(fraction_batch, lane, lane_dead);
+    EXPECT_EQ(lane_dead, scalar_dead) << "lane " << lane;
+  }
 
   const FailureSimulator any_sim(net_, TrialConfig{});
   DeathProbabilityTable short_table;
