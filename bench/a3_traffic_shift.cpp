@@ -8,6 +8,7 @@
 
 #include "datasets/submarine.h"
 #include "routing/assignment.h"
+#include "util/bitset.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -35,14 +36,14 @@ int main() {
 
   // Kill every cable with a landing in the US North-East (lat > 38, lon in
   // [-76, -69]) — the paper's "all submarine cables connecting to NY fail".
-  std::vector<bool> dead(net.cable_count(), false);
+  util::Bitset dead(net.cable_count());
   std::size_t killed = 0;
   for (topo::CableId c = 0; c < net.cable_count(); ++c) {
     for (topo::NodeId n : net.cable(c).endpoints()) {
       const auto& p = net.node(n).location;
       if (net.node(n).country_code == "US" && p.lat_deg > 38.0 &&
           p.lon_deg > -76.0 && p.lon_deg < -69.0) {
-        dead[c] = true;
+        dead.set(c);
         ++killed;
         break;
       }
@@ -81,8 +82,8 @@ int main() {
 
   // Capacity-aware comparison: with spill routing, how much demand is
   // actually placeable on the surviving plant?
-  const auto aware_before = engine.assign_capacity_aware(
-      std::vector<bool>(net.cable_count(), false));
+  const auto aware_before =
+      engine.assign_capacity_aware(util::Bitset(net.cable_count()));
   const auto aware_after = engine.assign_capacity_aware(dead);
   util::print_banner(std::cout,
                      "Capacity-aware routing (utilization capped at 1)");

@@ -25,6 +25,7 @@
 // equivalence gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -95,6 +96,31 @@ bool traversable(const graph::Graph& g, const AliveMask& mask,
   if (e >= mask.edge_alive.size() || !mask.edge_alive[e]) return false;
   const graph::Edge& ed = g.edge(e);
   return mask.vertex_alive[ed.u] && mask.vertex_alive[ed.v];
+}
+
+// The legacy kernels take their dead sets as std::vector<bool>; the bench
+// converts each Bitset draw once.
+std::vector<bool> to_vector_bool(const util::Bitset& bits) {
+  std::vector<bool> out(bits.size(), false);
+  for (std::size_t i = 0; i < bits.size(); ++i) out[i] = bits[i];
+  return out;
+}
+
+// Nodes that had >= 1 cable and lost all of them, scanned over the
+// vector<bool> dead set like the old InfrastructureNetwork overload.
+std::vector<topo::NodeId> unreachable_nodes(
+    const topo::InfrastructureNetwork& net,
+    const std::vector<bool>& cable_dead) {
+  std::vector<topo::NodeId> out;
+  for (topo::NodeId n = 0; n < net.node_count(); ++n) {
+    const auto& incident = net.cables_at(n);
+    if (incident.empty()) continue;
+    if (std::all_of(incident.begin(), incident.end(),
+                    [&](topo::CableId c) { return cable_dead[c]; })) {
+      out.push_back(n);
+    }
+  }
+  return out;
 }
 
 // Fresh mask per draw, exactly as the old
@@ -235,7 +261,7 @@ services::AvailabilityReport evaluate_service(
     const services::ServiceSpec& service) {
   const AliveMask mask = mask_for_failures(net, cable_dead);
   const graph::ComponentResult cc = connected_components(net.graph(), mask);
-  const auto unreachable = net.unreachable_nodes(cable_dead);
+  const auto unreachable = unreachable_nodes(net, cable_dead);
   std::vector<bool> dark(net.node_count(), false);
   for (topo::NodeId n : unreachable) dark[n] = true;
   constexpr std::uint32_t kIslandBase = 0x80000000u;
@@ -307,8 +333,8 @@ constexpr std::uint64_t kDrawSeed = 2021;
 constexpr std::size_t kEquivalenceDraws = 48;
 constexpr std::size_t kBenchDraws = 64;
 
-// One failure draw in both representations, sampled from the same child
-// stream so the sets are bit-equal by construction.
+// One failure draw as a Bitset plus its vector<bool> copy for the legacy
+// kernels.
 struct DrawPair {
   std::vector<bool> dead_vb;
   util::Bitset dead_bits;
@@ -319,10 +345,9 @@ std::vector<DrawPair> make_draws(std::size_t count) {
   const util::Rng base(kDrawSeed);
   std::vector<DrawPair> draws(count);
   for (std::size_t d = 0; d < count; ++d) {
-    util::Rng rng_a = base.split(d);
-    util::Rng rng_b = base.split(d);
-    submarine_sim().sample_cable_failures(model, rng_a, draws[d].dead_vb);
-    submarine_sim().sample_cable_failures(model, rng_b, draws[d].dead_bits);
+    util::Rng rng = base.split(d);
+    submarine_sim().sample_cable_failures(model, rng, draws[d].dead_bits);
+    draws[d].dead_vb = legacy::to_vector_bool(draws[d].dead_bits);
   }
   return draws;
 }
@@ -358,15 +383,6 @@ void check_kernel_equivalence() {
 
   for (std::size_t d = 0; d < kEquivalenceDraws; ++d) {
     const DrawPair& draw = bench_draws()[d];
-    if (draw.dead_vb.size() != draw.dead_bits.size()) {
-      fail("draw representations disagree on size");
-    }
-    for (std::size_t c = 0; c < draw.dead_vb.size(); ++c) {
-      if (draw.dead_vb[c] != draw.dead_bits[c]) {
-        fail("Bitset draw diverged from vector<bool> draw");
-      }
-    }
-
     const legacy::AliveMask old_mask =
         legacy::mask_for_failures(net, draw.dead_vb);
     net.mask_for_failures(draw.dead_bits, mask);
@@ -645,7 +661,8 @@ void BM_LegacyAvailabilityPerTrial(benchmark::State& state) {
   const services::ServiceSpec spec = bench_service();
   util::Rng rng(kDrawSeed);
   for (auto _ : state) {
-    const auto dead = submarine_sim().sample_cable_failures(model, rng);
+    const auto dead = legacy::to_vector_bool(
+        submarine_sim().sample_cable_failures(model, rng));
     benchmark::DoNotOptimize(legacy::evaluate_service(net, dead, spec));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

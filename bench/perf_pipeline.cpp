@@ -2,9 +2,11 @@
 // unified trial-observer pipeline (one failure draw, every metric).
 //
 // main() runs hard validation gates before any timing:
-//   1. ConnectivityObserver is bit-identical to FailureSimulator::run_trials
-//      (same seed, same trial count, every moment),
-//   2. AvailabilityObserver is bit-identical to services::availability_sweep,
+//   1. ConnectivityObserver and FailureSimulator::run_trials are
+//      bit-identical to a serial reference loop (same seed, same trial
+//      count, every moment),
+//   2. AvailabilityObserver and services::availability_sweep are
+//      bit-identical to the same serial loop through ServiceEvaluator,
 //   3. DnsResolutionObserver matches a serial replay of the same split
 //      streams through DnsResolutionEvaluator exactly,
 //   4. CountryIsolationObserver converges to the analytic
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "analysis/country.h"
@@ -36,6 +39,7 @@
 #include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "sim/pipeline.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 // --- global allocation counter ----------------------------------------------
@@ -118,44 +122,112 @@ void check_stats_identical(const util::RunningStats& a,
 
 // --- validation gates -------------------------------------------------------
 
+// Two per-trial statistics accumulated the pipeline's way.
+struct StatsPair {
+  util::RunningStats first;
+  util::RunningStats second;
+};
+
+// The serial reference of gates 1 and 2: trial t draws from base.split(t)
+// through the scalar table draw, `metric` reduces the dead set to the
+// trial's two values, and the values accumulate in kTrialChunk chunks
+// merged in ascending order — the pipeline's determinism contract as a
+// plain loop, with no pipeline code in it.
+template <class Metric>
+StatsPair serial_reference(std::size_t trials, std::uint64_t seed,
+                           Metric&& metric) {
+  const auto table = submarine_sim().death_probability_table(s1_model());
+  const util::Rng base(seed);
+  std::vector<StatsPair> chunks(sim::TrialPipeline::chunk_count(trials));
+  util::Bitset dead;
+  for (std::size_t t = 0; t < trials; ++t) {
+    util::Rng rng = base.split(t);
+    submarine_sim().sample_cable_failures(table, rng, dead);
+    const auto [first, second] = metric(dead);
+    StatsPair& slot = chunks[t / sim::TrialPipeline::kTrialChunk];
+    slot.first.add(first);
+    slot.second.add(second);
+  }
+  StatsPair out;
+  for (const StatsPair& slot : chunks) {
+    out.first.merge(slot.first);
+    out.second.merge(slot.second);
+  }
+  return out;
+}
+
 void check_connectivity_bit_identity() {
   constexpr std::size_t kTrials = 256;
-  const sim::AggregateResult reference =
-      submarine_sim().run_trials(s1_model(), kTrials, 42);
+  const double cables = static_cast<double>(submarine().cable_count());
+  const double connected =
+      static_cast<double>(submarine().connected_node_count());
+  std::vector<topo::NodeId> unreachable;
+  const StatsPair reference =
+      serial_reference(kTrials, 42, [&](const util::Bitset& dead) {
+        submarine().unreachable_nodes(dead, unreachable);
+        return std::pair{
+            100.0 * static_cast<double>(dead.count()) / cables,
+            100.0 * static_cast<double>(unreachable.size()) / connected};
+      });
   sim::TrialPipeline pipeline(submarine_sim(), s1_model());
   sim::ConnectivityObserver connectivity;
   pipeline.add_observer(connectivity);
   pipeline.run(kTrials, 42, 1);
-  if (connectivity.result().trials != reference.trials) {
-    fail("connectivity trial counts diverged from run_trials");
+  const sim::AggregateResult aggregate =
+      submarine_sim().run_trials(s1_model(), kTrials, 42);
+  if (connectivity.result().trials != kTrials || aggregate.trials != kTrials) {
+    fail("connectivity trial counts diverged from the serial reference");
   }
   check_stats_identical(connectivity.result().cables_failed_pct,
-                        reference.cables_failed_pct,
-                        "cables-failed stats diverged from run_trials");
+                        reference.first,
+                        "cables-failed stats diverged from the serial "
+                        "reference");
   check_stats_identical(connectivity.result().nodes_unreachable_pct,
-                        reference.nodes_unreachable_pct,
-                        "nodes-unreachable stats diverged from run_trials");
+                        reference.second,
+                        "nodes-unreachable stats diverged from the serial "
+                        "reference");
+  check_stats_identical(aggregate.cables_failed_pct, reference.first,
+                        "run_trials cables-failed stats diverged from the "
+                        "serial reference");
+  check_stats_identical(aggregate.nodes_unreachable_pct, reference.second,
+                        "run_trials nodes-unreachable stats diverged from "
+                        "the serial reference");
 }
 
 void check_availability_bit_identity() {
   constexpr std::size_t kDraws = 256;
   const services::ServiceSpec spec =
       datacenter_service(datasets::DataCenterOperator::kGoogle);
-  const services::AvailabilitySweep reference = services::availability_sweep(
-      submarine_sim(), s1_model(), spec, kDraws, 77, 1);
+  services::ServiceEvaluator evaluator(submarine(), spec);
+  services::AvailabilityReport report;
+  const StatsPair reference =
+      serial_reference(kDraws, 77, [&](const util::Bitset& dead) {
+        evaluator.evaluate(dead, report);
+        return std::pair{report.read_availability, report.write_availability};
+      });
   sim::TrialPipeline pipeline(submarine_sim(), s1_model());
   services::AvailabilityObserver availability(submarine(), spec);
   pipeline.add_observer(availability);
   pipeline.run(kDraws, 77, 1);
-  if (availability.result().draws != reference.draws) {
-    fail("availability draw counts diverged from availability_sweep");
+  const services::AvailabilitySweep sweep = services::availability_sweep(
+      submarine_sim(), s1_model(), spec, kDraws, 77, 1);
+  if (availability.result().draws != kDraws || sweep.draws != kDraws) {
+    fail("availability draw counts diverged from the serial reference");
   }
   check_stats_identical(availability.result().read_availability,
-                        reference.read_availability,
-                        "read availability diverged from availability_sweep");
+                        reference.first,
+                        "read availability diverged from the serial "
+                        "reference");
   check_stats_identical(availability.result().write_availability,
-                        reference.write_availability,
-                        "write availability diverged from availability_sweep");
+                        reference.second,
+                        "write availability diverged from the serial "
+                        "reference");
+  check_stats_identical(sweep.read_availability, reference.first,
+                        "availability_sweep read availability diverged from "
+                        "the serial reference");
+  check_stats_identical(sweep.write_availability, reference.second,
+                        "availability_sweep write availability diverged "
+                        "from the serial reference");
 }
 
 // Replays the same per-trial split streams through a serial
@@ -440,15 +512,11 @@ int main() {
         util::Bitset dead;
         util::RunningStats dns_avail;
         const util::Rng base(kSeed);
-        std::vector<bool> dead_bits(submarine().cable_count(), false);
         for (std::size_t t = 0; t < kTrials; ++t) {
           util::Rng rng = base.split(t);
           submarine_sim().sample_cable_failures(table, rng, dead);
-          for (std::size_t c = 0; c < dead_bits.size(); ++c) {
-            dead_bits[c] = dead[c];
-          }
           const analysis::DnsResolutionReport report =
-              analysis::evaluate_dns_resolution(submarine(), dead_bits,
+              analysis::evaluate_dns_resolution(submarine(), dead,
                                                 dns_roots());
           dns_avail.add(report.resolution_availability);
         }

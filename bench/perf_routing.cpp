@@ -126,11 +126,9 @@ void check_stats_identical(const util::RunningStats& a,
   }
 }
 
-// A sequence of s1-model failure draws on the seed network, as both the
-// pipeline's Bitset form and the legacy vector<bool> form.
+// A sequence of s1-model failure draws on the seed network.
 struct Draw {
   util::Bitset dead;
-  std::vector<bool> dead_bits;
 };
 
 std::vector<Draw> make_draws(std::size_t count, std::uint64_t seed) {
@@ -140,10 +138,6 @@ std::vector<Draw> make_draws(std::size_t count, std::uint64_t seed) {
   for (std::size_t t = 0; t < count; ++t) {
     util::Rng rng = base.split(t);
     submarine_sim().sample_cable_failures(table, rng, draws[t].dead);
-    draws[t].dead_bits.assign(submarine().cable_count(), false);
-    for (std::size_t c = 0; c < draws[t].dead_bits.size(); ++c) {
-      draws[t].dead_bits[c] = draws[t].dead.test(c);
-    }
   }
   return draws;
 }
@@ -157,7 +151,7 @@ std::vector<Draw> make_draws(std::size_t count, std::uint64_t seed) {
 routing::AssignmentResult legacy_assign(
     const topo::InfrastructureNetwork& net,
     const std::vector<routing::TrafficDemand>& demands,
-    const std::vector<bool>& cable_dead) {
+    const util::Bitset& cable_dead) {
   const routing::CapacityModel capacity{};
   const graph::AliveMask mask = net.mask_for_failures(cable_dead);
 
@@ -204,7 +198,7 @@ routing::AssignmentResult legacy_assign(
 routing::AssignmentResult legacy_capacity_aware(
     const topo::InfrastructureNetwork& net,
     const std::vector<routing::TrafficDemand>& demands,
-    const std::vector<bool>& cable_dead) {
+    const util::Bitset& cable_dead) {
   const routing::CapacityModel capacity{};
   const graph::AliveMask base_mask = net.mask_for_failures(cable_dead);
 
@@ -277,9 +271,9 @@ void check_batched_matches_legacy() {
 
   const auto check_draw = [&](const Draw& draw) {
     const routing::AssignmentResult reference =
-        legacy_assign(submarine(), demands, draw.dead_bits);
+        legacy_assign(submarine(), demands, draw.dead);
     // One-shot wrapper (builds its own mask, no component fast path).
-    check_results_identical(engine.assign(draw.dead_bits), reference,
+    check_results_identical(engine.assign(draw.dead), reference,
                             "one-shot assign diverged from legacy replica");
     // Hot path with the pipeline's shared mask + component decomposition:
     // the component short-circuit must not change any statistic.
@@ -294,11 +288,9 @@ void check_batched_matches_legacy() {
 
   Draw baseline;
   baseline.dead = util::Bitset(submarine().cable_count());
-  baseline.dead_bits.assign(submarine().cable_count(), false);
   check_draw(baseline);
   check_results_identical(engine.assign_baseline(),
-                          legacy_assign(submarine(), demands,
-                                        baseline.dead_bits),
+                          legacy_assign(submarine(), demands, baseline.dead),
                           "assign_baseline diverged from legacy replica");
   for (const Draw& draw : draws) check_draw(draw);
 }
@@ -313,17 +305,15 @@ void check_capacity_aware_matches_legacy() {
   const routing::TrafficEngine engine(submarine(), demands);
   const std::vector<Draw> draws = make_draws(8, 99);
 
+  const util::Bitset intact(submarine().cable_count());
   check_results_identical(
-      engine.assign_capacity_aware(
-          std::vector<bool>(submarine().cable_count(), false)),
-      legacy_capacity_aware(submarine(), demands,
-                            std::vector<bool>(submarine().cable_count(),
-                                              false)),
+      engine.assign_capacity_aware(intact),
+      legacy_capacity_aware(submarine(), demands, intact),
       "capacity-aware baseline diverged from legacy replica");
   for (const Draw& draw : draws) {
     check_results_identical(
-        engine.assign_capacity_aware(draw.dead_bits),
-        legacy_capacity_aware(submarine(), demands, draw.dead_bits),
+        engine.assign_capacity_aware(draw.dead),
+        legacy_capacity_aware(submarine(), demands, draw.dead),
         "capacity-aware assign diverged from legacy replica");
   }
 }
@@ -473,7 +463,7 @@ int main() {
 
   constexpr std::size_t kBaselineSample = 500;
   const graph::AliveMask baseline_mask =
-      submarine().mask_for_failures(draw.dead_bits);
+      submarine().mask_for_failures(draw.dead);
   const double baseline_ms = benchutil::time_best_ms(
       [&] {
         double delivered = 0.0;

@@ -190,11 +190,11 @@ void check_trial_against_bruteforce() {
     engine.run_trial(rng_a, scratch);
     engine.sample_death_grid_indices(rng_b, index);
     for (std::size_t g = 0; g < engine.grid_size(); ++g) {
-      std::vector<bool> dead(cables, false);
+      util::Bitset dead(cables);
       std::size_t dead_count = 0;
       for (topo::CableId c = 0; c < cables; ++c) {
         if (index[c] <= g) {
-          dead[c] = true;
+          dead.set(c);
           ++dead_count;
         }
       }

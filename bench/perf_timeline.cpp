@@ -138,9 +138,9 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
   }
 
   // Fault counts and fleet schedule through the one-shot-parity forms.
-  std::vector<std::uint8_t> dead_end(cables);
+  util::Bitset dead_end(cables);
   for (std::size_t c = 0; c < cables; ++c) {
-    dead_end[c] = out.fail_step[c] < storm_steps ? 1 : 0;
+    dead_end.set(c, out.fail_step[c] < storm_steps);
   }
   util::Rng repair_rng = rng.split(sim::TimelineEngine::kRepairStream);
   const recovery::FaultSampler sampler(engine.simulator(), engine.table());
@@ -161,15 +161,15 @@ void naive_playback(const sim::TimelineEngine& engine, util::Rng& rng,
   out.cables_dead_pct.resize(total_steps);
   out.nodes_unreachable_pct.resize(total_steps);
   out.largest_component_pct.resize(total_steps);
-  std::vector<bool> dead(cables);
+  util::Bitset dead(cables);
   for (std::size_t i = 0; i < total_steps; ++i) {
     std::size_t dead_count = 0;
     for (std::size_t c = 0; c < cables; ++c) {
       const bool d = i < storm_steps
                          ? out.fail_step[c] <= i
-                         : dead_end[c] != 0 &&
+                         : dead_end[c] &&
                                engine.step_hour(i) < out.restore_hour[c];
-      dead[c] = d;
+      dead.set(c, d);
       dead_count += d ? 1 : 0;
     }
     out.cables_dead_pct[i] =

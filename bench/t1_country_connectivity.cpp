@@ -5,6 +5,7 @@
 
 #include "analysis/country.h"
 #include "datasets/submarine.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -104,7 +105,7 @@ int main() {
                      "P(cutoff))");
   util::TextTable mc({"country", "draws fully cut /10", "analytic P"});
   util::Rng rng(1859);
-  std::vector<std::vector<bool>> draws;
+  std::vector<util::Bitset> draws;
   for (int t = 0; t < 10; ++t) {
     draws.push_back(simulator.sample_cable_failures(s1, rng));
   }

@@ -47,8 +47,7 @@ int main() {
   const gic::FieldDrivenFailureModel model(field);
   util::Rng rng(2038);
   const auto dead = simulator.sample_cable_failures(model, rng);
-  std::size_t cables_lost = 0;
-  for (bool d : dead) cables_lost += d ? 1 : 0;
+  const std::size_t cables_lost = dead.count();
 
   const auto grid = powergrid::evaluate_grid(field);
   std::size_t blackouts = 0;

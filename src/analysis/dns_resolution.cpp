@@ -71,19 +71,15 @@ void DnsResolutionEvaluator::evaluate(const util::Bitset& cable_dead,
 
 DnsResolutionReport evaluate_dns_resolution(
     const topo::InfrastructureNetwork& net,
-    const std::vector<bool>& cable_dead,
+    const util::Bitset& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots) {
   DnsResolutionEvaluator evaluator(net, roots);
-  util::Bitset dead(cable_dead.size());
-  for (std::size_t i = 0; i < cable_dead.size(); ++i) {
-    if (cable_dead[i]) dead.set(i);
-  }
   const graph::AliveMask mask = net.mask_for_failures(cable_dead);
   graph::ComponentScratch scratch;
   graph::ComponentResult components;
   graph::connected_components(net.csr(), mask, scratch, components);
   DnsResolutionReport report;
-  evaluator.evaluate(dead, components, report);
+  evaluator.evaluate(cable_dead, components, report);
   return report;
 }
 

@@ -44,7 +44,7 @@ struct DnsResolutionReport {
 // cable-failure draw. Instances and clients attach to landing stations the
 // same way services do (best-connected node within range).
 DnsResolutionReport evaluate_dns_resolution(
-    const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
+    const topo::InfrastructureNetwork& net, const util::Bitset& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots);
 
 // Pre-resolved root-letter evaluators for one (network, root set) pair.

@@ -23,7 +23,7 @@ const std::vector<RegionalEconomy>& regional_economies() {
 
 EconomicImpact estimate_internet_impact(
     const topo::InfrastructureNetwork& net,
-    const std::vector<bool>& cable_dead,
+    const util::Bitset& cable_dead,
     const recovery::RecoveryTimeline& timeline, double step_days) {
   if (step_days <= 0.0) {
     throw std::invalid_argument("estimate_internet_impact: bad step");

@@ -12,6 +12,7 @@
 #include "geo/regions.h"
 #include "recovery/repair.h"
 #include "topology/network.h"
+#include "util/bitset.h"
 
 namespace solarnet::analysis {
 
@@ -39,7 +40,7 @@ struct EconomicImpact {
 // continent at time t = fraction of its cable-bearing landing points that
 // are still dark (all incident cables unrepaired). Sampling step in days.
 EconomicImpact estimate_internet_impact(
-    const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
+    const topo::InfrastructureNetwork& net, const util::Bitset& cable_dead,
     const recovery::RecoveryTimeline& timeline, double step_days = 5.0);
 
 }  // namespace solarnet::analysis

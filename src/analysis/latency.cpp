@@ -9,7 +9,7 @@ namespace solarnet::analysis {
 
 RouteLatency route_latency(const topo::InfrastructureNetwork& net,
                            const std::string& from, const std::string& to,
-                           const std::vector<bool>& cable_dead) {
+                           const util::Bitset& cable_dead) {
   const auto a = net.find_node(from);
   const auto b = net.find_node(to);
   if (!a || !b) {
@@ -40,7 +40,7 @@ double LatencyInflation::inflation_ms() const noexcept {
 LatencyInflation latency_inflation(const topo::InfrastructureNetwork& net,
                                    const std::string& from,
                                    const std::string& to,
-                                   const std::vector<bool>& cable_dead) {
+                                   const util::Bitset& cable_dead) {
   LatencyInflation out;
   out.before = route_latency(net, from, to);
   out.after = route_latency(net, from, to, cable_dead);

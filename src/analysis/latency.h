@@ -9,6 +9,7 @@
 #include <string>
 
 #include "topology/network.h"
+#include "util/bitset.h"
 
 namespace solarnet::analysis {
 
@@ -27,7 +28,7 @@ struct RouteLatency {
 // std::invalid_argument for unknown node names.
 RouteLatency route_latency(const topo::InfrastructureNetwork& net,
                            const std::string& from, const std::string& to,
-                           const std::vector<bool>& cable_dead = {});
+                           const util::Bitset& cable_dead = {});
 
 struct LatencyInflation {
   RouteLatency before;
@@ -39,6 +40,6 @@ struct LatencyInflation {
 LatencyInflation latency_inflation(const topo::InfrastructureNetwork& net,
                                    const std::string& from,
                                    const std::string& to,
-                                   const std::vector<bool>& cable_dead);
+                                   const util::Bitset& cable_dead);
 
 }  // namespace solarnet::analysis

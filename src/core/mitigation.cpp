@@ -13,10 +13,10 @@ namespace solarnet::core {
 namespace {
 
 // Mitigation scoring rides the trial pipeline: draw d samples from child
-// stream d (the run_trials discipline, replacing the old hand-rolled
-// sequential-rng loop), so the score is reproducible, thread-count
-// independent, and the before/after networks are evaluated under common
-// random numbers per draw index.
+// stream d (the pipeline's determinism contract, replacing the old
+// hand-rolled sequential-rng loop), so the score is reproducible,
+// thread-count independent, and the before/after networks are evaluated
+// under common random numbers per draw index.
 double mean_service_availability(const topo::InfrastructureNetwork& net,
                                  const gic::RepeaterFailureModel& model,
                                  const services::ServiceSpec& service,

@@ -10,7 +10,7 @@
 namespace solarnet::core {
 
 PartitionReport analyze_partition(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead) {
+                                  const util::Bitset& cable_dead) {
   PartitionReport report;
   const graph::AliveMask mask = net.mask_for_failures(cable_dead);
   // Decompose over the cached CSR; produces the same dense labeling as the

@@ -10,6 +10,7 @@
 
 #include "geo/regions.h"
 #include "topology/network.h"
+#include "util/bitset.h"
 
 namespace solarnet::core {
 
@@ -36,7 +37,7 @@ struct PartitionReport {
 // Analyzes the surviving topology given per-cable death flags (size must
 // equal net.cable_count()).
 PartitionReport analyze_partition(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead);
+                                  const util::Bitset& cable_dead);
 
 // Renders the continent connectivity matrix as text.
 std::string render_partition(const PartitionReport& report);

@@ -117,7 +117,7 @@ std::vector<GridOutcome> evaluate_grid(
 }
 
 CoupledImpact analyze_coupled_failure(const topo::InfrastructureNetwork& net,
-                                      const std::vector<bool>& cable_dead,
+                                      const util::Bitset& cable_dead,
                                       const std::vector<GridOutcome>& grid,
                                       double backup_probability,
                                       util::Rng& rng) {

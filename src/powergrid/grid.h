@@ -13,6 +13,7 @@
 #include "geo/regions.h"
 #include "gic/efield.h"
 #include "topology/network.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::powergrid {
@@ -85,7 +86,7 @@ struct CoupledImpact {
 // all its cables failed OR its grid region is dark and the node lost the
 // backup-power lottery (backup_probability per node).
 CoupledImpact analyze_coupled_failure(const topo::InfrastructureNetwork& net,
-                                      const std::vector<bool>& cable_dead,
+                                      const util::Bitset& cable_dead,
                                       const std::vector<GridOutcome>& grid,
                                       double backup_probability,
                                       util::Rng& rng);

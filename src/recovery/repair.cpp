@@ -6,7 +6,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "topology/repeater.h"
 
 namespace solarnet::recovery {
 
@@ -50,39 +49,20 @@ std::vector<std::pair<double, double>> RecoveryTimeline::restoration_curve(
 
 std::vector<std::size_t> sample_fault_counts(
     const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model,
-    const std::vector<bool>& cable_dead, util::Rng& rng) {
-  const topo::InfrastructureNetwork& net = simulator.network();
-  if (cable_dead.size() != net.cable_count()) {
+    const gic::RepeaterFailureModel& model, const util::Bitset& cable_dead,
+    util::Rng& rng) {
+  if (cable_dead.size() != simulator.network().cable_count()) {
     throw std::invalid_argument("sample_fault_counts: size mismatch");
   }
-  std::vector<std::size_t> faults(net.cable_count(), 0);
-  for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-    if (!cable_dead[c]) continue;
-    const std::size_t repeaters = topo::cable_repeater_count(
-        net.cable(c), simulator.config().repeater_spacing_km);
-    if (repeaters == 0) {
-      faults[c] = 1;  // defensive: a dead repeaterless cable has one fault
-      continue;
-    }
-    // Conditioned on death (>= 1 failure), the remaining repeaters fail
-    // independently. Use the cable's single-repeater probability by
-    // inverting the cable death probability.
-    const double death = simulator.cable_death_probability(c, model);
-    const double per_repeater =
-        1.0 - std::pow(std::max(1e-12, 1.0 - death),
-                       1.0 / static_cast<double>(repeaters));
-    std::size_t extra = 0;
-    for (std::size_t r = 1; r < repeaters; ++r) {
-      if (rng.bernoulli(per_repeater)) ++extra;
-    }
-    faults[c] = 1 + extra;
-  }
-  return faults;
+  const FaultSampler sampler(simulator,
+                             simulator.death_probability_table(model));
+  std::vector<std::uint32_t> faults(cable_dead.size());
+  sampler.sample(cable_dead, rng, faults);
+  return {faults.begin(), faults.end()};
 }
 
 RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead,
+                                  const util::Bitset& cable_dead,
                                   const std::vector<std::size_t>& faults,
                                   const RepairFleetParams& params) {
   if (cable_dead.size() != net.cable_count() ||
@@ -144,52 +124,85 @@ RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
   return timeline;
 }
 
+namespace {
+
+// P(Binomial(n, p) >= k) for 1 <= k <= n and 0 < p < 1, each term summed
+// in log space so no factor under- or overflows: O(n).
+double binomial_tail(std::size_t n, std::size_t k, double p) {
+  const double log_p = std::log(p);
+  const double log_q = std::log1p(-p);
+  const double dn = static_cast<double>(n);
+  double log_choose = std::lgamma(dn + 1.0) -
+                      std::lgamma(static_cast<double>(k) + 1.0) -
+                      std::lgamma(static_cast<double>(n - k) + 1.0);
+  double tail = 0.0;
+  for (std::size_t j = k;; ++j) {
+    const double dj = static_cast<double>(j);
+    tail += std::exp(log_choose + dj * log_p + (dn - dj) * log_q);
+    if (j == n) break;
+    log_choose += std::log(dn - dj) - std::log(dj + 1.0);
+  }
+  return tail;
+}
+
+// The uniform per-repeater probability p with P(Binomial(n, p) >= k) =
+// death. k = 1 is the closed form 1 - (1 - death)^(1/n), with 1 - death
+// clamped to >= 1e-12 so a certain death leaves p just below 1; k >= 2
+// bisects the tail, which is increasing in p.
+double per_repeater_probability(std::size_t n, std::size_t k, double death) {
+  if (k <= 1) {
+    return 1.0 - std::pow(std::max(1e-12, 1.0 - death),
+                          1.0 / static_cast<double>(n));
+  }
+  double lo = 0.0;
+  double hi = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (binomial_tail(n, k, mid) < death ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+}  // namespace
+
 FaultSampler::FaultSampler(const sim::FailureSimulator& simulator,
                            const sim::DeathProbabilityTable& table) {
-  const topo::InfrastructureNetwork& net = simulator.network();
-  const std::size_t cables = net.cable_count();
+  const std::size_t cables = simulator.network().cable_count();
   if (table.probability.size() != cables) {
     throw std::invalid_argument("FaultSampler: table size mismatch");
   }
   repeaters_.resize(cables);
+  lethal_.resize(cables);
   per_repeater_.assign(cables, 0.0);
   for (topo::CableId c = 0; c < cables; ++c) {
-    const std::size_t repeaters = topo::cable_repeater_count(
-        net.cable(c), simulator.config().repeater_spacing_km);
+    const std::size_t repeaters = simulator.cable_repeater_count(c);
+    const std::size_t lethal = simulator.lethal_failures(repeaters);
     repeaters_[c] = static_cast<std::uint32_t>(repeaters);
+    // A dead repeaterless cable (defensive: it cannot die of GIC) gets the
+    // one fault lethal_failures(0) == 1 stands for.
+    lethal_[c] = static_cast<std::uint32_t>(lethal);
     if (repeaters == 0) continue;
-    // Same inversion as sample_fault_counts; the table entry is the same
-    // double cable_death_probability returns, so per_repeater matches it
-    // bit for bit.
-    const double death = table.probability[c];
     per_repeater_[c] =
-        1.0 - std::pow(std::max(1e-12, 1.0 - death),
-                       1.0 / static_cast<double>(repeaters));
+        per_repeater_probability(repeaters, lethal, table.probability[c]);
   }
 }
 
-void FaultSampler::sample(std::span<const std::uint8_t> dead, util::Rng& rng,
+void FaultSampler::sample(const util::Bitset& dead, util::Rng& rng,
                           std::span<std::uint32_t> faults) const {
   if (dead.size() != repeaters_.size() || faults.size() != repeaters_.size()) {
     throw std::invalid_argument("FaultSampler::sample: size mismatch");
   }
-  for (std::size_t c = 0; c < repeaters_.size(); ++c) {
-    if (!dead[c]) {
-      faults[c] = 0;
-      continue;
-    }
-    const std::size_t repeaters = repeaters_[c];
-    if (repeaters == 0) {
-      faults[c] = 1;  // defensive: a dead repeaterless cable has one fault
-      continue;
-    }
+  std::fill(faults.begin(), faults.end(), 0u);
+  dead.for_each_set([&](std::size_t c) {
     const double per_repeater = per_repeater_[c];
-    std::uint32_t extra = 0;
-    for (std::size_t r = 1; r < repeaters; ++r) {
-      if (rng.bernoulli(per_repeater)) ++extra;
+    const std::uint32_t lethal = lethal_[c];
+    const std::uint32_t repeaters = repeaters_[c];
+    std::uint32_t count = lethal;
+    for (std::uint32_t r = lethal; r < repeaters; ++r) {
+      if (rng.bernoulli(per_repeater)) ++count;
     }
-    faults[c] = 1 + extra;
-  }
+    faults[c] = count;
+  });
 }
 
 RepairScheduler::RepairScheduler(const topo::InfrastructureNetwork& net,
@@ -221,7 +234,7 @@ RepairScheduler::RepairScheduler(const topo::InfrastructureNetwork& net,
   }
 }
 
-void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
+void RepairScheduler::schedule(const util::Bitset& dead,
                                std::span<const std::uint32_t> faults,
                                Scratch& scratch,
                                std::span<double> restore_day) const {
@@ -260,10 +273,14 @@ void RepairScheduler::schedule(std::span<const std::uint8_t> dead,
 
 std::vector<std::pair<double, double>> node_restoration_curve(
     const topo::InfrastructureNetwork& net,
-    const std::vector<bool>& cable_dead, const RecoveryTimeline& timeline,
+    const util::Bitset& cable_dead, const RecoveryTimeline& timeline,
     double step_days) {
   if (step_days <= 0.0) {
     throw std::invalid_argument("node_restoration_curve: bad step");
+  }
+  if (cable_dead.size() != net.cable_count() ||
+      timeline.restore_day.size() != net.cable_count()) {
+    throw std::invalid_argument("node_restoration_curve: size mismatch");
   }
   const std::size_t connected = net.connected_node_count();
   std::vector<std::pair<double, double>> curve;
@@ -275,11 +292,12 @@ std::vector<std::pair<double, double>> node_restoration_curve(
   for (const CableRepairJob& j : timeline.jobs) {
     end = std::max(end, j.completion_day);
   }
+  util::Bitset still_dead;
   for (double day = 0.0; day <= end + step_days; day += step_days) {
-    std::vector<bool> still_dead(net.cable_count(), false);
-    for (topo::CableId c = 0; c < net.cable_count(); ++c) {
-      still_dead[c] = cable_dead[c] && timeline.restore_day[c] > day;
-    }
+    still_dead.assign(net.cable_count(), false);
+    cable_dead.for_each_set([&](std::size_t c) {
+      if (timeline.restore_day[c] > day) still_dead.set(c);
+    });
     const std::size_t unreachable = net.unreachable_nodes(still_dead).size();
     curve.push_back({day, 1.0 - static_cast<double>(unreachable) /
                                     static_cast<double>(connected)});

@@ -13,6 +13,7 @@
 
 #include "sim/monte_carlo.h"
 #include "topology/network.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::recovery {
@@ -50,44 +51,45 @@ struct RecoveryTimeline {
       double step_days = 10.0) const;
 };
 
-// Samples per-cable fault counts for a failure draw: a dead cable has
-// 1 + Binomial(repeaters - 1, p_extra) destroyed repeaters — the storm hit
-// every repeater, not just one, so multi-fault cables are the norm.
+// Samples per-cable fault counts for a failure draw (one FaultSampler
+// draw over death_probability_table(model)): a dead cable has at least the
+// k repeaters that killed it, plus Binomial(repeaters - k, p) more — the
+// storm hit every repeater, not just k, so multi-fault cables are the norm.
 std::vector<std::size_t> sample_fault_counts(
     const sim::FailureSimulator& simulator,
-    const gic::RepeaterFailureModel& model, const std::vector<bool>& cable_dead,
+    const gic::RepeaterFailureModel& model, const util::Bitset& cable_dead,
     util::Rng& rng);
 
 // Greedy fleet scheduling: highest-priority cables first (priority =
 // number of landing points, a proxy for restored connectivity), each
 // assigned to the earliest-free ship/crew.
 RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
-                                  const std::vector<bool>& cable_dead,
+                                  const util::Bitset& cable_dead,
                                   const std::vector<std::size_t>& faults,
                                   const RepairFleetParams& params = {});
 
-// Allocation-free form of sample_fault_counts for hot trial loops
-// (sim::TimelineEngine runs one fault draw per Monte-Carlo trial). The
-// constructor precomputes per-cable repeater counts and the conditional
-// per-repeater probability from the end-state death table; sample() then
-// replays sample_fault_counts' exact draw sequence (dead cables ascending,
-// repeaters-1 bernoullis each) into a caller-owned buffer. Because
-// FailureSimulator::death_probability_table() evaluates
-// cable_death_probability per cable, the fault counts are bit-identical to
-// sample_fault_counts given the same rng state (asserted in
-// tests/recovery/repair_test.cpp).
+// The fault draw, allocation-free for hot trial loops (sim::TimelineEngine
+// runs one per Monte-Carlo trial). A dead cable with n repeaters, killed by
+// k = FailureSimulator::lethal_failures(n) failures, gets
+// k + Binomial(n - k, p) faults, where p is the uniform per-repeater
+// probability that reproduces the cable's death probability:
+// P(Binomial(n, p) >= k) = death. The constructor solves p once per cable
+// (closed form 1 - (1 - death)^(1/n) for k = 1, bisection for k >= 2);
+// sample() then takes n - k bernoullis per dead cable, dead cables
+// ascending, into a caller-owned buffer.
 class FaultSampler {
  public:
   FaultSampler(const sim::FailureSimulator& simulator,
                const sim::DeathProbabilityTable& table);
 
-  // `dead` and `faults` are indexed by cable (nonzero byte = dead);
-  // faults[c] is 0 for alive cables. Both must match the network size.
-  void sample(std::span<const std::uint8_t> dead, util::Rng& rng,
+  // `faults` is indexed by cable and must match the network size, like
+  // `dead`; faults[c] is 0 for alive cables.
+  void sample(const util::Bitset& dead, util::Rng& rng,
               std::span<std::uint32_t> faults) const;
 
  private:
   std::vector<std::uint32_t> repeaters_;
+  std::vector<std::uint32_t> lethal_;
   std::vector<double> per_repeater_;
 };
 
@@ -113,7 +115,7 @@ class RepairScheduler {
   // Writes each dead cable's completion day into restore_day (0.0 for
   // cables that never failed). `faults` entries are clamped to >= 1 for
   // dead cables, like schedule_repairs.
-  void schedule(std::span<const std::uint8_t> dead,
+  void schedule(const util::Bitset& dead,
                 std::span<const std::uint32_t> faults, Scratch& scratch,
                 std::span<double> restore_day) const;
 
@@ -126,7 +128,7 @@ class RepairScheduler {
 // Connectivity restoration: fraction of nodes reachable (paper definition:
 // has >= 1 live cable) as repairs complete, sampled at `step_days`.
 std::vector<std::pair<double, double>> node_restoration_curve(
-    const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
+    const topo::InfrastructureNetwork& net, const util::Bitset& cable_dead,
     const RecoveryTimeline& timeline, double step_days = 10.0);
 
 }  // namespace solarnet::recovery

@@ -135,24 +135,19 @@ void TrafficEngine::assign(const util::Bitset& cable_dead,
       out.delivered_gbps > 0.0 ? weighted_km / out.delivered_gbps : 0.0;
 }
 
-AssignmentResult TrafficEngine::assign(
-    const std::vector<bool>& cable_dead) const {
-  util::Bitset dead(cable_dead.size());
-  for (std::size_t c = 0; c < cable_dead.size(); ++c) {
-    if (cable_dead[c]) dead.set(c);
-  }
+AssignmentResult TrafficEngine::assign(const util::Bitset& cable_dead) const {
   TrafficScratch scratch;
   AssignmentResult result;
-  assign(dead, nullptr, nullptr, scratch, result);
+  assign(cable_dead, nullptr, nullptr, scratch, result);
   return result;
 }
 
 AssignmentResult TrafficEngine::assign_baseline() const {
-  return assign(std::vector<bool>(net_.cable_count(), false));
+  return assign(util::Bitset(net_.cable_count()));
 }
 
 AssignmentResult TrafficEngine::assign_capacity_aware(
-    const std::vector<bool>& cable_dead) const {
+    const util::Bitset& cable_dead) const {
   const graph::AliveMask base_mask = net_.mask_for_failures(cable_dead);
   const graph::Csr& csr = net_.csr();
 

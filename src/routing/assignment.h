@@ -96,7 +96,7 @@ class TrafficEngine {
               TrafficScratch& scratch, AssignmentResult& out) const;
 
   // One-shot conveniences (allocate their result per call).
-  AssignmentResult assign(const std::vector<bool>& cable_dead) const;
+  AssignmentResult assign(const util::Bitset& cable_dead) const;
   AssignmentResult assign_baseline() const;  // no failures
 
   // Capacity-aware variant: demands are routed largest-first, each on the
@@ -121,7 +121,7 @@ class TrafficEngine {
   // historical fit-mask search would have picked. bench/perf_routing.cpp
   // gates the equivalence on the seed network.
   AssignmentResult assign_capacity_aware(
-      const std::vector<bool>& cable_dead) const;
+      const util::Bitset& cable_dead) const;
 
   // Load shifted onto each cable relative to a baseline (positive =
   // gained load after the event). Indexed by cable id.

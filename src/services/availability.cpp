@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/checkpoint.h"
-#include "util/parallel.h"
 
 namespace solarnet::services {
 
@@ -31,14 +30,6 @@ continent_anchors() {
 // talk over the local terrestrial network. Each dark node gets a unique
 // synthetic component id above this base so co-located pairs match.
 constexpr std::uint32_t kIslandBase = 0x80000000u;
-
-util::Bitset to_bitset(const std::vector<bool>& bits) {
-  util::Bitset out(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) out.set(i);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -144,24 +135,10 @@ AvailabilityReport ServiceEvaluator::evaluate(const util::Bitset& cable_dead) {
 }
 
 AvailabilityReport evaluate_service(const topo::InfrastructureNetwork& net,
-                                    const std::vector<bool>& cable_dead,
+                                    const util::Bitset& cable_dead,
                                     const ServiceSpec& service) {
   ServiceEvaluator evaluator(net, service);
-  return evaluator.evaluate(to_bitset(cable_dead));
-}
-
-std::vector<AvailabilityReport> evaluate_services(
-    const topo::InfrastructureNetwork& net,
-    const std::vector<bool>& cable_dead,
-    const std::vector<ServiceSpec>& services) {
-  std::vector<AvailabilityReport> out;
-  out.reserve(services.size());
-  const util::Bitset dead = to_bitset(cable_dead);
-  for (const ServiceSpec& s : services) {
-    ServiceEvaluator evaluator(net, s);
-    out.push_back(evaluator.evaluate(dead));
-  }
-  return out;
+  return evaluator.evaluate(cable_dead);
 }
 
 AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
@@ -169,63 +146,13 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
                                      const ServiceSpec& service,
                                      std::size_t draws, std::uint64_t seed,
                                      std::size_t threads) {
-  AvailabilitySweep sweep;
-  sweep.service = service.name;
-  sweep.draws = draws;
-  if (draws == 0) {
-    // Still validate the spec so a bad sweep fails loudly.
-    ServiceEvaluator(simulator.network(), service);
-    return sweep;
-  }
-
-  // Fold the per-cable death probabilities once so each draw is O(cables).
-  const sim::DeathProbabilityTable table =
-      simulator.death_probability_table(model);
-
-  // Same determinism discipline as FailureSimulator::run_trials: fixed-size
-  // draw chunks (independent of the thread count), draw d always samples
-  // from child stream d, per-chunk accumulators merged in ascending order.
-  constexpr std::size_t kDrawChunk = 32;
-  const std::size_t chunks = (draws + kDrawChunk - 1) / kDrawChunk;
-  struct ChunkStats {
-    util::RunningStats read;
-    util::RunningStats write;
-  };
-  std::vector<ChunkStats> per_chunk(chunks);
-
-  const std::size_t workers =
-      std::min(util::resolve_thread_count(threads), chunks);
-  struct WorkerState {
-    ServiceEvaluator evaluator;
-    util::Bitset dead;
-    AvailabilityReport report;
-  };
-  // The prototype resolves the attachment nodes once; workers copy the
-  // resolved tables instead of re-resolving.
-  const ServiceEvaluator prototype(simulator.network(), service);
-  std::vector<WorkerState> state(workers, {prototype, {}, {}});
-
-  const util::Rng base(seed);
-  util::parallel_for(
-      chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-        WorkerState& s = state[worker];
-        ChunkStats& out = per_chunk[chunk];
-        const std::size_t begin = chunk * kDrawChunk;
-        const std::size_t end = std::min(begin + kDrawChunk, draws);
-        for (std::size_t d = begin; d < end; ++d) {
-          util::Rng rng = base.split(d);
-          simulator.sample_cable_failures(table, rng, s.dead);
-          s.evaluator.evaluate(s.dead, s.report);
-          out.read.add(s.report.read_availability);
-          out.write.add(s.report.write_availability);
-        }
-      });
-
-  for (const ChunkStats& c : per_chunk) {
-    sweep.read_availability.merge(c.read);
-    sweep.write_availability.merge(c.write);
-  }
-  return sweep;
+  // The observer resolves the attachment nodes once (and validates the
+  // spec, so a bad sweep fails loudly even with zero draws).
+  AvailabilityObserver observer(simulator.network(), service);
+  sim::TrialPipeline pipeline(simulator, model);
+  pipeline.add_observer(observer);
+  pipeline.run(draws, seed, threads);
+  return observer.result();
 }
 
 AvailabilityObserver::AvailabilityObserver(

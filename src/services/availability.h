@@ -7,11 +7,13 @@
 // continent under a cable-failure draw, using the surviving submarine
 // topology to decide who can reach whom.
 //
-// Two tiers mirror the graph kernels: evaluate_service is the one-shot
-// API; ServiceEvaluator resolves the replica and continent-anchor landing
-// nodes once per (network, spec) and then answers per-draw queries
-// allocation-free over the network's cached CSR — that plus
-// availability_sweep is the Monte-Carlo hot path.
+// Two tiers: evaluate_service is the one-shot API; ServiceEvaluator
+// resolves the replica and continent-anchor landing nodes once per
+// (network, spec) and then answers per-draw queries allocation-free over
+// the network's cached CSR. The Monte-Carlo path is AvailabilityObserver on
+// a sim::TrialPipeline (availability_sweep is that run with one observer),
+// which evaluates every draw against the pipeline's shared component
+// decomposition. Every tier takes the draw as a util::Bitset dead set.
 #pragma once
 
 #include <string>
@@ -110,19 +112,15 @@ class ServiceEvaluator {
 // replica is reachable, write availability when >= write_quorum replicas
 // are reachable AND mutually connected.
 AvailabilityReport evaluate_service(const topo::InfrastructureNetwork& net,
-                                    const std::vector<bool>& cable_dead,
+                                    const util::Bitset& cable_dead,
                                     const ServiceSpec& service);
 
-std::vector<AvailabilityReport> evaluate_services(
-    const topo::InfrastructureNetwork& net, const std::vector<bool>& cable_dead,
-    const std::vector<ServiceSpec>& services);
-
 // Monte-Carlo availability sweep: `draws` independent failure draws from
-// the simulator's model, each evaluated through a pre-resolved
-// ServiceEvaluator. Draw d always samples from child stream d of `seed`
-// and draws are accumulated in fixed-size chunks merged in ascending
-// order (the run_trials discipline), so the result is bit-identical for
-// every `threads` value (0 = hardware concurrency).
+// `model`, one sim::TrialPipeline run with an AvailabilityObserver. Draw d
+// always samples from child stream d of `seed` and draws are accumulated
+// in fixed-size chunks merged in ascending order (the pipeline's
+// determinism contract), so the result is bit-identical for every
+// `threads` value (0 = hardware concurrency).
 struct AvailabilitySweep {
   std::string service;
   std::size_t draws = 0;
@@ -140,10 +138,9 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
 // Trial-pipeline observer for one service: evaluates every trial's draw
 // against the pipeline's shared component decomposition (no per-service
 // mask/component rebuild) and accumulates read/write availability with the
-// fixed-chunk reduction. Registered on a sim::TrialPipeline it produces the
-// same AvailabilitySweep as availability_sweep() bit for bit — for the same
-// seed/draw count and any thread count — while sharing the failure draw
-// with every other observer. Construction resolves the replica/anchor
+// fixed-chunk reduction. Its result is bit-identical for every thread
+// count, and it shares the failure draw with every other observer on the
+// same pipeline. Construction resolves the replica/anchor
 // nodes once; begin_run hands each worker a copy of the resolved evaluator.
 class AvailabilityObserver final : public sim::CheckpointableObserver {
  public:

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/trial_batch.h"
+#include "sim/pipeline.h"
 #include "topology/repeater.h"
-#include "util/parallel.h"
 
 namespace solarnet::sim {
 
@@ -131,20 +130,11 @@ void FailureSimulator::sample_cable_failures(const DeathProbabilityTable& table,
   }
 }
 
-std::vector<bool> FailureSimulator::sample_cable_failures(
+util::Bitset FailureSimulator::sample_cable_failures(
     const gic::RepeaterFailureModel& model, util::Rng& rng) const {
-  std::vector<bool> dead;
+  util::Bitset dead;
   sample_cable_failures(model, rng, dead);
   return dead;
-}
-
-void FailureSimulator::sample_cable_failures(
-    const gic::RepeaterFailureModel& model, util::Rng& rng,
-    std::vector<bool>& dead) const {
-  util::Bitset bits;
-  sample_cable_failures(death_probability_table(model), rng, bits);
-  dead.assign(net_.cable_count(), false);
-  for (const std::uint32_t c : mortal_) dead[c] = bits.test(c);
 }
 
 void FailureSimulator::sample_cable_failures(
@@ -153,31 +143,11 @@ void FailureSimulator::sample_cable_failures(
   sample_cable_failures(death_probability_table(model), rng, dead);
 }
 
-void FailureSimulator::trial_percentages(const DeathProbabilityTable& table,
-                                         util::Rng& rng, TrialScratch& scratch,
-                                         double& cables_failed_pct,
-                                         double& nodes_unreachable_pct) const {
-  sample_cable_failures(table, rng, scratch.cable_dead);
-  const std::size_t failed = scratch.cable_dead.count();
-  net_.unreachable_nodes(scratch.cable_dead, scratch.unreachable);
-  cables_failed_pct = net_.cable_count() > 0
-                          ? 100.0 * static_cast<double>(failed) /
-                                static_cast<double>(net_.cable_count())
-                          : 0.0;
-  nodes_unreachable_pct =
-      connected_nodes_ > 0
-          ? 100.0 * static_cast<double>(scratch.unreachable.size()) /
-                static_cast<double>(connected_nodes_)
-          : 0.0;
-}
-
 TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
                                         util::Rng& rng) const {
   TrialResult result;
   sample_cable_failures(model, rng, result.cable_dead);
-  for (bool d : result.cable_dead) {
-    if (d) ++result.cables_failed;
-  }
+  result.cables_failed = result.cable_dead.count();
   result.nodes_unreachable = net_.unreachable_nodes(result.cable_dead).size();
   result.cables_failed_pct =
       net_.cable_count() > 0
@@ -192,99 +162,66 @@ TrialResult FailureSimulator::run_trial(const gic::RepeaterFailureModel& model,
   return result;
 }
 
-AggregateResult FailureSimulator::run_trials(
-    const gic::RepeaterFailureModel& model, std::size_t trials,
-    std::uint64_t seed) const {
-  AggregateResult agg;
-  agg.trials = trials;
-  if (trials == 0) return agg;
+namespace {
 
-  // The per-cable probabilities are a pure function of (simulator, model):
-  // fold them once so every trial is O(cables) instead of O(repeaters).
-  const DeathProbabilityTable table = death_probability_table(model);
+// run_trials' metric: the two per-trial percentages, accumulated per chunk.
+// It reads no component decomposition and takes whole batches on the
+// bit-parallel path, so the pipeline runs only the draw and the two count
+// kernels for it.
+class TrialPercentagesObserver final : public TrialObserver {
+ public:
+  bool needs_components() const override { return false; }
+  void begin_run(const TrialPipeline& /*pipeline*/, std::size_t /*workers*/,
+                 std::size_t chunks) override {
+    chunks_.assign(chunks, {});
+  }
+  void observe(const TrialView& view, std::size_t /*worker*/,
+               std::size_t chunk) override {
+    chunks_[chunk].cables.add(view.cables_failed_pct);
+    chunks_[chunk].nodes.add(view.nodes_unreachable_pct);
+  }
+  bool supports_batch() const override { return true; }
+  void observe_batch(const BatchTrialView& view, std::size_t /*worker*/,
+                     std::size_t first_chunk) override {
+    for (unsigned lane = 0; lane < view.lanes; ++lane) {
+      Chunk& slot = chunks_[first_chunk + lane / TrialPipeline::kTrialChunk];
+      slot.cables.add(view.cables_failed_pct[lane]);
+      slot.nodes.add(view.nodes_unreachable_pct[lane]);
+    }
+  }
+  void end_run() override {
+    for (const Chunk& slot : chunks_) {
+      result_.cables_failed_pct.merge(slot.cables);
+      result_.nodes_unreachable_pct.merge(slot.nodes);
+    }
+    chunks_.clear();
+  }
 
-  // Determinism: trials are grouped into fixed-size chunks whose boundaries
-  // depend only on `trials`, never on the thread count. Each chunk
-  // accumulates its own RunningStats (trial t always draws from child
-  // stream t), workers claim whole chunks, and the chunk accumulators are
-  // merged in ascending chunk order — so the aggregate is bit-identical for
-  // every thread count, and (because a lone chunk merges into the empty
-  // aggregate by copy) bit-identical to a plain serial loop whenever
-  // trials <= kTrialChunk, which covers the paper's 10-trial runs.
-  constexpr std::size_t kTrialChunk = 32;
-  const std::size_t chunks = (trials + kTrialChunk - 1) / kTrialChunk;
-  struct ChunkStats {
+  const AggregateResult& result() const noexcept { return result_; }
+
+ private:
+  struct Chunk {
     util::RunningStats cables;
     util::RunningStats nodes;
   };
-  std::vector<ChunkStats> per_chunk(chunks);
-  const util::Rng base(seed);
+  std::vector<Chunk> chunks_;
+  AggregateResult result_;
+};
 
-  if (config_.engine != TrialEngine::kScalar) {
-    // Bit-parallel path: one 64-lane batch covers exactly two chunks
-    // (kLanes == 2 * kTrialChunk), so each batch task owns whole chunks and
-    // the per-chunk accumulators — filled in ascending lane order from
-    // integer counts, with the same percentage arithmetic as the scalar
-    // loop — stay bit-identical for every thread count and to kScalar.
-    static_assert(TrialBatchKernel::kLanes == 2 * kTrialChunk);
-    const TrialBatchKernel kernel(*this, table);
-    const std::size_t tasks =
-        (trials + TrialBatchKernel::kLanes - 1) / TrialBatchKernel::kLanes;
-    const std::size_t workers =
-        std::min(util::resolve_thread_count(config_.threads), tasks);
-    struct BatchScratch {
-      TrialBatch batch;
-      std::uint32_t cables[TrialBatchKernel::kLanes];
-      std::uint32_t nodes[TrialBatchKernel::kLanes];
-    };
-    std::vector<BatchScratch> scratch(workers);
-    const std::size_t cable_count = net_.cable_count();
-    util::parallel_for(
-        tasks, workers, [&](std::size_t task, std::size_t worker) {
-          BatchScratch& s = scratch[worker];
-          const std::size_t first = task * TrialBatchKernel::kLanes;
-          const auto lanes = static_cast<unsigned>(std::min<std::size_t>(
-              TrialBatchKernel::kLanes, trials - first));
-          kernel.sample(base, first, lanes, s.batch);
-          kernel.count_cables_failed(s.batch, s.cables);
-          kernel.count_unreachable_nodes(s.batch, s.nodes);
-          for (unsigned lane = 0; lane < lanes; ++lane) {
-            ChunkStats& out = per_chunk[(first + lane) / kTrialChunk];
-            out.cables.add(cable_count > 0
-                               ? 100.0 * static_cast<double>(s.cables[lane]) /
-                                     static_cast<double>(cable_count)
-                               : 0.0);
-            out.nodes.add(connected_nodes_ > 0
-                              ? 100.0 * static_cast<double>(s.nodes[lane]) /
-                                    static_cast<double>(connected_nodes_)
-                              : 0.0);
-          }
-        });
-  } else {
-    const std::size_t workers =
-        std::min(util::resolve_thread_count(config_.threads), chunks);
-    std::vector<TrialScratch> scratch(workers);
-    util::parallel_for(
-        chunks, workers, [&](std::size_t chunk, std::size_t worker) {
-          TrialScratch& s = scratch[worker];
-          ChunkStats& out = per_chunk[chunk];
-          const std::size_t begin = chunk * kTrialChunk;
-          const std::size_t end = std::min(begin + kTrialChunk, trials);
-          for (std::size_t t = begin; t < end; ++t) {
-            util::Rng rng = base.split(t);
-            double cables_pct = 0.0;
-            double nodes_pct = 0.0;
-            trial_percentages(table, rng, s, cables_pct, nodes_pct);
-            out.cables.add(cables_pct);
-            out.nodes.add(nodes_pct);
-          }
-        });
-  }
+}  // namespace
 
-  for (const ChunkStats& c : per_chunk) {
-    agg.cables_failed_pct.merge(c.cables);
-    agg.nodes_unreachable_pct.merge(c.nodes);
-  }
+AggregateResult FailureSimulator::run_trials(
+    const gic::RepeaterFailureModel& model, std::size_t trials,
+    std::uint64_t seed) const {
+  // The pipeline folds the death table once, so every trial is O(cables);
+  // a lone chunk merges into the empty aggregate by copy, so the paper's
+  // 10-trial runs are bit-identical to a plain serial loop.
+  TrialPipeline pipeline(*this, model);
+  TrialPercentagesObserver percentages;
+  pipeline.add_observer(percentages);
+  pipeline.run(trials, seed);
+  AggregateResult agg = percentages.result();
+  agg.trials = trials;
   return agg;
 }
 

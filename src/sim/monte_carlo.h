@@ -17,16 +17,17 @@
 //
 // The one draw: trial randomness is one uniform u per repeater-bearing
 // cable (mortal_cables(), ascending), and the cable is dead iff u < p. Every
-// engine — run_trials, TrialPipeline, TrialBatchKernel, SweepEngine,
-// TimelineEngine — consumes the stream this way, so one seed means one
-// storm everywhere.
+// engine — TrialPipeline, TrialBatchKernel, SweepEngine, TimelineEngine —
+// consumes the stream this way, so one seed means one storm everywhere. A
+// draw's dead set is a util::Bitset indexed by CableId, the one dead-set
+// type every layer takes.
 //
-// run_trials distributes trials over TrialConfig::threads workers. Trial t
-// always draws from Rng child stream t, trials are accumulated in
+// run_trials is a sim::TrialPipeline run with a cables/nodes-only observer:
+// trial t always draws from Rng child stream t, trials are accumulated in
 // fixed-size chunks whose boundaries do not depend on the thread count, and
 // the per-chunk RunningStats are merged in ascending chunk order — so the
 // aggregate is bit-identical for every thread count (and to the serial
-// implementation for the paper's trial counts).
+// loop for the paper's trial counts).
 #pragma once
 
 #include <cstdint>
@@ -124,15 +125,6 @@ class RepeaterFailureCount {
   std::vector<double> more_;   // more_[j - 1] = P(exactly j failed)
 };
 
-// Reusable per-worker scratch buffers for the trial loop, so repeated
-// trials do not reallocate the cable mask and unreachable-node list. The
-// cable mask is a word-packed Bitset: counting failures is a popcount and
-// refills never touch the allocator once warm.
-struct TrialScratch {
-  util::Bitset cable_dead;
-  std::vector<topo::NodeId> unreachable;
-};
-
 class FailureSimulator {
  public:
   // Builds the repeater layout for `net` at the config's spacing. The
@@ -155,6 +147,9 @@ class FailureSimulator {
     return cable_offset_[cable + 1] - cable_offset_[cable];
   }
   double average_repeaters_per_cable() const noexcept;
+  // Nodes with >= 1 cable (the denominator of "% unreachable"), counted
+  // once at construction.
+  std::size_t connected_node_count() const noexcept { return connected_nodes_; }
   // Repeater-bearing cables in ascending id order: the cables that take
   // one uniform each per draw.
   const std::vector<std::uint32_t>& mortal_cables() const noexcept {
@@ -183,10 +178,8 @@ class FailureSimulator {
   void sample_cable_failures(const DeathProbabilityTable& table,
                              util::Rng& rng, util::Bitset& dead) const;
   // Model overloads: fold the table for `model`, then the same draw.
-  std::vector<bool> sample_cable_failures(
-      const gic::RepeaterFailureModel& model, util::Rng& rng) const;
-  void sample_cable_failures(const gic::RepeaterFailureModel& model,
-                             util::Rng& rng, std::vector<bool>& dead) const;
+  util::Bitset sample_cable_failures(const gic::RepeaterFailureModel& model,
+                                     util::Rng& rng) const;
   void sample_cable_failures(const gic::RepeaterFailureModel& model,
                              util::Rng& rng, util::Bitset& dead) const;
 
@@ -194,19 +187,15 @@ class FailureSimulator {
                         util::Rng& rng) const;
 
   // `trials` independent draws; trial t uses a child stream of `seed` so
-  // results are reproducible and order-independent. Runs on
-  // config().threads workers; the aggregate does not depend on the thread
-  // count (fixed chunking + in-order RunningStats::merge reduction).
+  // results are reproducible and order-independent. One TrialPipeline run
+  // on config().threads workers with an observer that reads only the
+  // cable and node counts (no component build); the aggregate does not
+  // depend on the thread count (fixed chunking + in-order
+  // RunningStats::merge reduction).
   AggregateResult run_trials(const gic::RepeaterFailureModel& model,
                              std::size_t trials, std::uint64_t seed) const;
 
  private:
-  // One trial reduced to its two aggregate percentages, allocation-free
-  // given warm scratch buffers.
-  void trial_percentages(const DeathProbabilityTable& table, util::Rng& rng,
-                         TrialScratch& scratch, double& cables_failed_pct,
-                         double& nodes_unreachable_pct) const;
-
   const topo::InfrastructureNetwork& net_;
   TrialConfig config_;
   // Flattened repeater contexts: per cable, [offset, offset+count).

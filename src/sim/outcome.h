@@ -2,15 +2,14 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
-
+#include "util/bitset.h"
 #include "util/stats.h"
 
 namespace solarnet::sim {
 
 // One Monte-Carlo draw of the event.
 struct TrialResult {
-  std::vector<bool> cable_dead;
+  util::Bitset cable_dead;
   std::size_t cables_failed = 0;
   std::size_t nodes_unreachable = 0;  // nodes that lost every incident cable
   double cables_failed_pct = 0.0;     // over all cables

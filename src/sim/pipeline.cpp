@@ -15,7 +15,7 @@ TrialPipeline::TrialPipeline(const FailureSimulator& simulator,
       model_(model),
       csr_(&simulator.network().csr()),
       table_(simulator.death_probability_table(model)),
-      connected_nodes_(simulator.network().connected_node_count()) {
+      connected_nodes_(simulator.connected_node_count()) {
   if (sim_.config().engine != TrialEngine::kScalar) {
     batch_kernel_ = std::make_unique<const TrialBatchKernel>(sim_, table_);
   }
@@ -218,7 +218,7 @@ void ConnectivityObserver::begin_run(const TrialPipeline& pipeline,
                                      std::size_t /*workers*/,
                                      std::size_t chunks) {
   chunks_.assign(chunks, {});
-  connected_nodes_ = pipeline.network().connected_node_count();
+  connected_nodes_ = pipeline.simulator().connected_node_count();
   result_ = {};
 }
 

@@ -11,7 +11,7 @@
 // because the observers all see the same draw — cross-metric joint
 // statistics (e.g. P(DNS degraded AND >X% cables lost)) become expressible.
 //
-// Determinism contract (the run_trials discipline):
+// Determinism contract:
 //  - trial t always draws from Rng child stream t of the seed;
 //  - trials are grouped into fixed-size chunks (kTrialChunk) whose
 //    boundaries depend only on the trial count, never on the thread count;
@@ -24,12 +24,15 @@
 // one worker, and workers have dense private ids.
 //
 // When to use which engine:
-//  - TrialPipeline: many metrics over one model/severity (the report path),
-//    or any metric needing the component decomposition per trial.
-//  - FailureSimulator::run_trials: cables/nodes aggregates only (no
-//    component build) — the cheapest single-metric path.
+//  - TrialPipeline: every per-trial loop over one model/severity. It is the
+//    only such loop: FailureSimulator::run_trials (cables/nodes aggregates)
+//    and services::availability_sweep (one service) are pipeline runs with
+//    one observer each. The pipeline builds components only when an
+//    observer asks for them, so a cables/nodes-only run costs the draw and
+//    the two count kernels.
 //  - sim::SweepEngine: one metric across a whole severity grid (CRN-coupled
 //    axis, incremental connectivity) — the figure-sweep path.
+//  - sim::TimelineEngine: the same draw played over storm and repair time.
 #pragma once
 
 #include <cstdint>
@@ -180,8 +183,7 @@ struct PipelineScratch {
 
 class TrialPipeline {
  public:
-  // Chunk size of the deterministic reduction; identical to run_trials so
-  // chunk-structured aggregates line up bit-for-bit.
+  // Chunk size of the deterministic reduction (half a 64-lane batch).
   static constexpr std::size_t kTrialChunk = 32;
   static constexpr std::size_t chunk_count(std::size_t trials) {
     return (trials + kTrialChunk - 1) / kTrialChunk;
@@ -257,7 +259,8 @@ void check_chunk_slot(const char* observer, const char* operation,
 // The baseline observer: per-trial cable-loss / node-unreachability
 // percentages (bit-identical to FailureSimulator::run_trials for the same
 // seed and trial count) plus the largest surviving component share, which
-// run_trials cannot see because it never decomposes components.
+// run_trials does not report because its observer skips the component
+// build.
 class ConnectivityObserver final : public CheckpointableObserver {
  public:
   struct Result {

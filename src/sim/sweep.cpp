@@ -205,7 +205,7 @@ SweepResult SweepEngine::run(std::size_t trials, std::uint64_t seed,
   }
   if (trials == 0) return result;
 
-  // Same determinism scheme as FailureSimulator::run_trials: fixed-size
+  // Same determinism scheme as sim::TrialPipeline: fixed-size
   // trial chunks (boundaries depend only on `trials`), trial t always
   // draws from child stream t, per-chunk accumulators merged in ascending
   // chunk order — bit-identical aggregates for every thread count.

@@ -151,8 +151,10 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
   // storm's last step (share 1.0) must decide exactly u < p, the end-state
   // draw every other engine makes, so that test is taken directly: the
   // guard skips u >= p, and a dead cable is dead at the last step at least
-  // even where rounding puts the log ratio at 1.0.
+  // even where rounding puts the log ratio at 1.0. The cables past the
+  // guard are exactly the end-of-storm dead set.
   s.fail_step.assign(cables, static_cast<std::uint32_t>(storm_steps));
+  s.dead.assign(cables, false);
   const double* share = config_.dose_share.data();
   for (std::size_t i = 0; i < mortal.size(); ++i) {
     const std::uint32_t c = mortal[i];
@@ -165,6 +167,7 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
     }
     s.fail_step[c] =
         static_cast<std::uint32_t>(storm_steps) - std::max(dead_steps, 1u);
+    s.dead.set(c);
   }
 
   // 3. Storm walk: failures accumulate forward in time, so the
@@ -196,11 +199,7 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
 
   // 4. End-of-storm dead set → fault counts (split substream: the CRN draw
   // stays byte-identical whether or not repairs are modelled) → fleet
-  // schedule. Keyed off fail_step, the single source of truth.
-  s.dead.resize(cables);
-  for (std::size_t c = 0; c < cables; ++c) {
-    s.dead[c] = s.fail_step[c] < storm_steps ? 1 : 0;
-  }
+  // schedule.
   util::Rng repair_rng = rng.split(kRepairStream);
   s.faults.resize(cables);
   fault_sampler_.sample(s.dead, repair_rng, s.faults);
@@ -214,15 +213,11 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
   // repair steps the cable is dead at); never-failed cables sit in the
   // always-alive bucket.
   const double storm_end = storm_end_hour();
-  s.restore_hour.resize(cables);
+  s.restore_hour.assign(cables, 0.0);
   s.reversed_first_dead.assign(cables,
                                static_cast<std::uint32_t>(repair_steps));
   const double* repair_hour = step_hour_.data() + storm_steps;
-  for (std::size_t c = 0; c < cables; ++c) {
-    if (!s.dead[c]) {
-      s.restore_hour[c] = 0.0;
-      continue;
-    }
+  s.dead.for_each_set([&](std::size_t c) {
     const double hour = storm_end + s.restore_day[c] * 24.0;
     s.restore_hour[c] = hour;
     std::uint32_t dead_steps = 0;
@@ -231,7 +226,7 @@ void TimelineEngine::playback(util::Rng& rng, TimelineScratch& s) const {
     }
     s.reversed_first_dead[c] =
         static_cast<std::uint32_t>(repair_steps) - dead_steps;
-  }
+  });
   inc_.bucket_by_first_dead(s.reversed_first_dead, repair_steps, s.inc);
   inc_.walk(repair_steps, s.inc,
             [&](std::size_t g, const IncrementalAggregates& agg) {

@@ -45,6 +45,7 @@
 #include "recovery/repair.h"
 #include "sim/incremental.h"
 #include "sim/monte_carlo.h"
+#include "util/bitset.h"
 #include "util/stats.h"
 
 namespace solarnet::sim {
@@ -129,7 +130,7 @@ class TimelineObserver {
 struct TimelineScratch {
   std::vector<double> uniforms;            // one CRN draw per mortal cable
   std::vector<std::uint32_t> fail_step;    // per cable: first dead step
-  std::vector<std::uint8_t> dead;          // end-of-storm dead set
+  util::Bitset dead;                       // end-of-storm dead set
   std::vector<std::uint32_t> faults;       // per cable: destroyed repeaters
   std::vector<double> restore_day;         // schedule completion, repair days
   std::vector<double> restore_hour;        // absolute hours

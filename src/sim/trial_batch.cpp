@@ -29,7 +29,7 @@ TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
   if (table.probability.size() != cables_) {
     throw std::invalid_argument("TrialBatchKernel: table size mismatch");
   }
-  connected_nodes_ = net.connected_node_count();
+  connected_nodes_ = simulator.connected_node_count();
 
   // The scalar draw's stream discipline: one uniform per mortal cable, in
   // ascending cable order, whatever its probability.

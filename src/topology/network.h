@@ -86,21 +86,18 @@ class InfrastructureNetwork {
 
   // Mask for the subgraph that survives when `cable_dead[c]` cables fail.
   // All vertices stay alive (a node with no surviving cable is detected via
-  // unreachable_nodes below, matching the paper's definition).
-  graph::AliveMask mask_for_failures(const std::vector<bool>& cable_dead) const;
-  // Allocation-free overload: refills `mask` in place over the precomputed
-  // edge->cable table, reusing its storage. The trial loops call this once
-  // per draw per worker.
+  // unreachable_nodes below, matching the paper's definition). The
+  // in-place form refills `mask` over the precomputed edge->cable table,
+  // reusing its storage; the trial loops call it once per draw per worker.
+  graph::AliveMask mask_for_failures(const util::Bitset& cable_dead) const;
   void mask_for_failures(const util::Bitset& cable_dead,
                          graph::AliveMask& mask) const;
 
   // Paper §4.3.1: "a node is unreachable when all its connected links have
-  // failed". Returns ids of nodes that had >= 1 cable and lost all of them.
-  std::vector<NodeId> unreachable_nodes(const std::vector<bool>& cable_dead) const;
-  // In-place overloads: clear and fill `out`, reusing its storage — the
-  // Monte-Carlo trial loop calls this once per trial per worker.
-  void unreachable_nodes(const std::vector<bool>& cable_dead,
-                         std::vector<NodeId>& out) const;
+  // failed". Ids of nodes that had >= 1 cable and lost all of them. The
+  // in-place form clears and fills `out`, reusing its storage — the
+  // Monte-Carlo trial loop calls it once per trial per worker.
+  std::vector<NodeId> unreachable_nodes(const util::Bitset& cable_dead) const;
   void unreachable_nodes(const util::Bitset& cable_dead,
                          std::vector<NodeId>& out) const;
   // True when node `id` has >= 1 cable and every one of them is dead.

@@ -1,9 +1,11 @@
 // A 64-bit-word-packed bitset sized at runtime. This is the storage behind
-// graph::AliveMask and the Monte-Carlo cable_dead scratch: unlike
-// std::vector<bool> it exposes word-wide operations (set_all / reset_all /
-// any / count run one instruction per 64 bits) and guarantees that resizing
-// an already-warm bitset never reallocates, which is what makes the
-// per-trial loops in sim/ and services/ allocation-free in steady state.
+// graph::AliveMask and the one cable dead-set type: every draw, and every
+// API that reads a draw (network masks, traffic, services, DNS, partition,
+// latency, economics, power grid, repair, timeline), takes a Bitset indexed
+// by cable id. Unlike std::vector<bool> it exposes word-wide operations
+// (set_all / reset_all / any / count run one instruction per 64 bits) and
+// guarantees that resizing an already-warm bitset never reallocates, which
+// is what makes the per-trial loops allocation-free in steady state.
 //
 // Invariant: bits at positions >= size() in the last word are always zero,
 // so count()/any()/operator== never need per-bit masking.
@@ -99,6 +101,17 @@ class Bitset {
       }
     }
     return npos;
+  }
+
+  // Calls f(i) for every set bit i, ascending: one load per word and one
+  // countr_zero per set bit.
+  template <class F>
+  void for_each_set(F&& f) const {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      for (Word w = words_[wi]; w != 0; w &= w - 1) {
+        f(wi * kWordBits + static_cast<std::size_t>(std::countr_zero(w)));
+      }
+    }
   }
 
   std::span<const Word> words() const noexcept { return words_; }

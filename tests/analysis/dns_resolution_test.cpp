@@ -39,7 +39,7 @@ class DnsResolutionTest : public ::testing::Test {
 };
 
 TEST_F(DnsResolutionTest, HealthyNetworkResolvesEverywhere) {
-  const std::vector<bool> none(net_.cable_count(), false);
+  const util::Bitset none(net_.cable_count());
   const auto r = evaluate_dns_resolution(net_, none, two_letters());
   EXPECT_DOUBLE_EQ(r.resolution_availability, 1.0);
   EXPECT_NEAR(r.mean_letters_reachable, 2.0, 1e-9);
@@ -49,8 +49,8 @@ TEST_F(DnsResolutionTest, PartitionReducesLettersNotResolution) {
   // Cut the Asia leg: both sides still have one root instance each, so
   // anycast resolution survives everywhere, but each side sees only one
   // letter.
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[asia_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(asia_);
   const auto r = evaluate_dns_resolution(net_, dead, two_letters());
   EXPECT_DOUBLE_EQ(r.resolution_availability, 1.0);
   EXPECT_NEAR(r.mean_letters_reachable, 1.0, 1e-9);
@@ -62,8 +62,8 @@ TEST_F(DnsResolutionTest, LosingOnlyRegionalRootStrandsTheRest) {
   // resolution, everything east of it loses it.
   const std::vector<datasets::DnsRootInstance> roots = {
       {'a', {40.7, -74.0}, "US", geo::Continent::kNorthAmerica}};
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[atl_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(atl_);
   const auto r = evaluate_dns_resolution(net_, dead, roots);
   EXPECT_NEAR(r.resolution_availability, 0.075 + 0.055, 1e-9);
   for (const auto& pc : r.per_continent) {

@@ -50,7 +50,7 @@ class EconomicsTest : public ::testing::Test {
 };
 
 TEST_F(EconomicsTest, NoFailureNoCost) {
-  const std::vector<bool> none(net_.cable_count(), false);
+  const util::Bitset none(net_.cable_count());
   recovery::RecoveryTimeline timeline;
   timeline.restore_day.assign(net_.cable_count(), 0.0);
   const EconomicImpact impact =
@@ -62,8 +62,8 @@ TEST_F(EconomicsTest, NoFailureNoCost) {
 }
 
 TEST_F(EconomicsTest, CostScalesWithOutageDuration) {
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[na_cable_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(na_cable_);
   recovery::RecoveryTimeline short_fix;
   short_fix.restore_day.assign(net_.cable_count(), 0.0);
   short_fix.restore_day[na_cable_] = 10.0;
@@ -80,8 +80,8 @@ TEST_F(EconomicsTest, CostScalesWithOutageDuration) {
 }
 
 TEST_F(EconomicsTest, InitialSeverityReflectsGeography) {
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[na_cable_] = true;  // NA fully dark, EU untouched
+  util::Bitset dead(net_.cable_count());
+  dead.set(na_cable_);  // NA fully dark, EU untouched
   recovery::RecoveryTimeline timeline;
   timeline.restore_day.assign(net_.cable_count(), 0.0);
   timeline.restore_day[na_cable_] = 20.0;
@@ -100,12 +100,12 @@ TEST_F(EconomicsTest, InitialSeverityReflectsGeography) {
 }
 
 TEST_F(EconomicsTest, Validation) {
-  const std::vector<bool> none(net_.cable_count(), false);
+  const util::Bitset none(net_.cable_count());
   recovery::RecoveryTimeline timeline;
   timeline.restore_day.assign(net_.cable_count(), 0.0);
   EXPECT_THROW(estimate_internet_impact(net_, none, timeline, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(estimate_internet_impact(net_, {true}, timeline),
+  EXPECT_THROW(estimate_internet_impact(net_, util::Bitset(1), timeline),
                std::invalid_argument);
 }
 

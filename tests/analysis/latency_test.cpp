@@ -45,8 +45,8 @@ TEST_F(LatencyTest, ShortestPathLatency) {
 }
 
 TEST_F(LatencyTest, FailureForcesLongerRoute) {
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[ab_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(ab_);
   const LatencyInflation inflation = latency_inflation(net_, "A", "C", dead);
   EXPECT_TRUE(inflation.after.reachable);
   EXPECT_DOUBLE_EQ(inflation.after.path_km, 4000.0);
@@ -55,9 +55,9 @@ TEST_F(LatencyTest, FailureForcesLongerRoute) {
 }
 
 TEST_F(LatencyTest, DisconnectionIsInfiniteInflation) {
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[ab_] = true;
-  dead[ac_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(ab_);
+  dead.set(ac_);
   const LatencyInflation inflation = latency_inflation(net_, "A", "C", dead);
   EXPECT_FALSE(inflation.after.reachable);
   EXPECT_TRUE(std::isinf(inflation.inflation_ms()));

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geo/regions.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace solarnet::core {
@@ -21,7 +22,7 @@ struct BruteForce {
   std::size_t disconnected_pairs = 0;
 
   BruteForce(const topo::InfrastructureNetwork& net,
-             const std::vector<bool>& cable_dead) {
+             const util::Bitset& cable_dead) {
     const std::size_t n = net.node_count();
     root.resize(n);
     for (std::size_t i = 0; i < n; ++i) root[i] = i;
@@ -90,7 +91,7 @@ class PartitionTest : public ::testing::Test {
 
 TEST_F(PartitionTest, NoFailuresIsFullyConnected) {
   const PartitionReport r =
-      analyze_partition(net_, std::vector<bool>(3, false));
+      analyze_partition(net_, util::Bitset(3));
   EXPECT_EQ(r.components, 1u);
   EXPECT_EQ(r.isolated_nodes, 0u);
   EXPECT_DOUBLE_EQ(r.largest_component_share, 1.0);
@@ -101,8 +102,8 @@ TEST_F(PartitionTest, NoFailuresIsFullyConnected) {
 }
 
 TEST_F(PartitionTest, AtlanticCutSplitsNorthAmerica) {
-  std::vector<bool> dead(3, false);
-  dead[atlantic_] = true;
+  util::Bitset dead(3);
+  dead.set(atlantic_);
   const PartitionReport r = analyze_partition(net_, dead);
   // NY lost its only cable -> isolated; the rest stay connected.
   EXPECT_EQ(r.isolated_nodes, 1u);
@@ -114,8 +115,8 @@ TEST_F(PartitionTest, AtlanticCutSplitsNorthAmerica) {
 }
 
 TEST_F(PartitionTest, MiddleCutCreatesTwoComponents) {
-  std::vector<bool> dead(3, false);
-  dead[europe_] = true;
+  util::Bitset dead(3);
+  dead.set(europe_);
   const PartitionReport r = analyze_partition(net_, dead);
   EXPECT_EQ(r.components, 2u);
   EXPECT_EQ(r.isolated_nodes, 0u);
@@ -131,7 +132,7 @@ TEST_F(PartitionTest, MiddleCutCreatesTwoComponents) {
 
 TEST_F(PartitionTest, TotalCollapse) {
   const PartitionReport r =
-      analyze_partition(net_, std::vector<bool>(3, true));
+      analyze_partition(net_, util::Bitset(3, true));
   EXPECT_EQ(r.components, 0u);
   EXPECT_EQ(r.isolated_nodes, 4u);
   EXPECT_DOUBLE_EQ(r.largest_component_share, 0.0);
@@ -141,7 +142,7 @@ TEST_F(PartitionTest, TotalCollapse) {
 
 TEST_F(PartitionTest, RenderContainsMatrix) {
   const PartitionReport r =
-      analyze_partition(net_, std::vector<bool>(3, false));
+      analyze_partition(net_, util::Bitset(3));
   const std::string text = render_partition(r);
   EXPECT_NE(text.find("components: 1"), std::string::npos);
   EXPECT_NE(text.find("North"), std::string::npos);
@@ -150,33 +151,33 @@ TEST_F(PartitionTest, RenderContainsMatrix) {
 TEST_F(PartitionTest, DisconnectedPairsOnFixture) {
   // Intact line: 4 surviving nodes, all connected.
   const PartitionReport intact =
-      analyze_partition(net_, std::vector<bool>(3, false));
+      analyze_partition(net_, util::Bitset(3));
   EXPECT_EQ(intact.surviving_nodes, 4u);
   EXPECT_EQ(intact.disconnected_pairs, 0u);
 
   // Middle cut: {NY, Bude} vs {Lisbon, Fortaleza} -> 2*2 severed pairs.
-  std::vector<bool> dead(3, false);
-  dead[europe_] = true;
+  util::Bitset dead(3);
+  dead.set(europe_);
   const PartitionReport split = analyze_partition(net_, dead);
   EXPECT_EQ(split.surviving_nodes, 4u);
   EXPECT_EQ(split.disconnected_pairs, 4u);
 
   // Atlantic cut: NY drops out entirely; the surviving trio stays whole.
   dead.assign(3, false);
-  dead[atlantic_] = true;
+  dead.set(atlantic_);
   const PartitionReport spur = analyze_partition(net_, dead);
   EXPECT_EQ(spur.surviving_nodes, 3u);
   EXPECT_EQ(spur.disconnected_pairs, 0u);
 
   const PartitionReport collapse =
-      analyze_partition(net_, std::vector<bool>(3, true));
+      analyze_partition(net_, util::Bitset(3, true));
   EXPECT_EQ(collapse.surviving_nodes, 0u);
   EXPECT_EQ(collapse.disconnected_pairs, 0u);
 }
 
 TEST_F(PartitionTest, RenderMentionsDisconnectedPairs) {
-  std::vector<bool> dead(3, false);
-  dead[europe_] = true;
+  util::Bitset dead(3);
+  dead.set(europe_);
   const std::string text = render_partition(analyze_partition(net_, dead));
   EXPECT_NE(text.find("disconnected pairs: 4"), std::string::npos);
 }
@@ -206,9 +207,9 @@ TEST(PartitionProperty, ClosedFormMatchesBruteForce) {
       net.add_cable(std::move(cable));
     }
     for (int trial = 0; trial < 20; ++trial) {
-      std::vector<bool> dead(net.cable_count(), false);
+      util::Bitset dead(net.cable_count());
       for (std::size_t c = 0; c < dead.size(); ++c) {
-        dead[c] = rng.bernoulli(0.4);
+        dead.set(c, rng.bernoulli(0.4));
       }
       const PartitionReport report = analyze_partition(net, dead);
       BruteForce brute(net, dead);
@@ -237,7 +238,7 @@ TEST(PartitionProperty, ClosedFormMatchesBruteForce) {
 }
 
 TEST_F(PartitionTest, SameContinentDiagonal) {
-  std::vector<bool> dead(3, false);
+  util::Bitset dead(3);
   const PartitionReport r = analyze_partition(net_, dead);
   EXPECT_TRUE(
       r.continents_linked(geo::Continent::kEurope, geo::Continent::kEurope));

@@ -54,7 +54,9 @@ TEST_P(EngineInvariantTest, TrialOutputsAreConsistent) {
 
   // Counts match flags.
   std::size_t dead = 0;
-  for (bool d : r.cable_dead) dead += d ? 1 : 0;
+  for (std::size_t c = 0; c < r.cable_dead.size(); ++c) {
+    dead += r.cable_dead[c] ? 1 : 0;
+  }
   EXPECT_EQ(dead, r.cables_failed);
   // Percentages in range and consistent with counts.
   EXPECT_GE(r.cables_failed_pct, 0.0);

@@ -145,7 +145,7 @@ TEST(CoupledFailure, PowerOutagesAmplifyCableDamage) {
 
 TEST(CoupledFailure, FullBackupMeansNoPowerLoss) {
   const auto net = datasets::make_submarine_network({});
-  const std::vector<bool> none(net.cable_count(), false);
+  const util::Bitset none(net.cable_count());
   const gic::GeoelectricFieldModel field(gic::carrington_1859());
   const auto grid = evaluate_grid(field);
   util::Rng rng(1);
@@ -157,7 +157,7 @@ TEST(CoupledFailure, FullBackupMeansNoPowerLoss) {
 
 TEST(CoupledFailure, Validation) {
   const auto net = datasets::make_submarine_network({});
-  const std::vector<bool> none(net.cable_count(), false);
+  const util::Bitset none(net.cable_count());
   util::Rng rng(1);
   EXPECT_THROW(analyze_coupled_failure(net, none, {}, 0.5, rng),
                std::invalid_argument);

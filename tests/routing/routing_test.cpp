@@ -120,8 +120,8 @@ TEST_F(RoutingTest, FailureShiftsLoad) {
   const std::vector<TrafficDemand> demands = {{ny_, sg_, 100.0}};
   const TrafficEngine engine(net_, demands);
   const AssignmentResult baseline = engine.assign_baseline();
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[atl_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(atl_);
   const AssignmentResult after = engine.assign(dead);
   // Traffic reroutes over the Pacific.
   EXPECT_DOUBLE_EQ(after.loads[pacific_].load_gbps, 100.0);
@@ -136,9 +136,9 @@ TEST_F(RoutingTest, FailureShiftsLoad) {
 TEST_F(RoutingTest, DisconnectionIsUndeliverable) {
   const std::vector<TrafficDemand> demands = {{ny_, sg_, 100.0}};
   const TrafficEngine engine(net_, demands);
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[atl_] = true;
-  dead[pacific_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(atl_);
+  dead.set(pacific_);
   const AssignmentResult r = engine.assign(dead);
   EXPECT_DOUBLE_EQ(r.delivered_gbps, 0.0);
   EXPECT_DOUBLE_EQ(r.undeliverable_gbps, 100.0);
@@ -188,7 +188,7 @@ TEST_F(RoutingTest, CapacityAwareSpillsOntoLongerPath) {
   EXPECT_EQ(naive.overloaded_cables, 1u);  // everything piles on atlantic
 
   const AssignmentResult aware = engine.assign_capacity_aware(
-      std::vector<bool>(net_.cable_count(), false));
+      util::Bitset(net_.cable_count()));
   EXPECT_DOUBLE_EQ(aware.undeliverable_gbps, 0.0);
   EXPECT_NEAR(aware.loads[atl_].utilization(), 0.9, 1e-9);
   EXPECT_GT(aware.loads[pacific_].load_gbps, 0.0);
@@ -208,7 +208,7 @@ TEST_F(RoutingTest, CapacityAwareBlocksWhenNothingLeft) {
   };
   const TrafficEngine engine(net_, demands);
   const AssignmentResult r = engine.assign_capacity_aware(
-      std::vector<bool>(net_.cable_count(), false));
+      util::Bitset(net_.cable_count()));
   EXPECT_DOUBLE_EQ(r.undeliverable_gbps, 100.0);
   EXPECT_GT(r.delivered_gbps, 0.0);
   EXPECT_LE(r.max_utilization, 1.0 + 1e-9);
@@ -217,8 +217,8 @@ TEST_F(RoutingTest, CapacityAwareBlocksWhenNothingLeft) {
 TEST_F(RoutingTest, CapacityAwareRespectsFailures) {
   const std::vector<TrafficDemand> demands = {{ny_, sg_, 50.0}};
   const TrafficEngine engine(net_, demands);
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[atl_] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(atl_);
   const AssignmentResult r = engine.assign_capacity_aware(dead);
   EXPECT_DOUBLE_EQ(r.loads[atl_].load_gbps, 0.0);
   EXPECT_DOUBLE_EQ(r.loads[pacific_].load_gbps, 50.0);
@@ -499,7 +499,7 @@ TEST(CapacityAwareTies, EqualLengthDiamondPinsOnePathThenSpills) {
   const auto at = add("a-t", a, t);
   const auto sb = add("s-b", s, b);
   const auto bt = add("b-t", b, t);
-  const std::vector<bool> intact(net.cable_count(), false);
+  const util::Bitset intact(net.cable_count());
 
   // All four cables share one capacity (same kind, same length).
   const double cap =

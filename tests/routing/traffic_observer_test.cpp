@@ -46,20 +46,16 @@ class DrawRecorder final : public sim::TrialObserver {
     draws_.assign(chunks * sim::TrialPipeline::kTrialChunk, {});
   }
   void observe(const sim::TrialView& view, std::size_t, std::size_t) override {
-    std::vector<bool> dead(view.cable_dead->size());
-    for (std::size_t c = 0; c < dead.size(); ++c) {
-      dead[c] = view.cable_dead->test(c);
-    }
-    draws_[view.trial] = std::move(dead);
+    draws_[view.trial] = *view.cable_dead;
   }
   void end_run() override {}
 
-  const std::vector<bool>& draw(std::size_t trial) const {
+  const util::Bitset& draw(std::size_t trial) const {
     return draws_[trial];
   }
 
  private:
-  std::vector<std::vector<bool>> draws_;
+  std::vector<util::Bitset> draws_;
 };
 
 // NY - Bude - Singapore - Sydney line plus a NY-Sydney pacific cable:

@@ -30,9 +30,7 @@ class ServiceTest : public ::testing::Test {
     c.segments = {{a, b, 6000.0}};
     return net_.add_cable(std::move(c));
   }
-  std::vector<bool> none() const {
-    return std::vector<bool>(net_.cable_count(), false);
-  }
+  util::Bitset none() const { return util::Bitset(net_.cable_count()); }
   topo::InfrastructureNetwork net_;
   topo::NodeId ny_{}, bude_{}, sg_{}, syd_{};
   topo::CableId atl_{}, asia_{}, oc_{};
@@ -53,8 +51,8 @@ TEST_F(ServiceTest, PartitionSplitsQuorum) {
   svc.name = "global-db";
   svc.replicas = {{40.7, -74.0}, {1.35, 103.8}};
   svc.write_quorum = 2;
-  std::vector<bool> dead = none();
-  dead[asia_] = true;  // Europe/NA vs Asia/Oceania partition
+  util::Bitset dead = none();
+  dead.set(asia_);  // Europe/NA vs Asia/Oceania partition
   const AvailabilityReport r = evaluate_service(net_, dead, svc);
   // Reads survive on both sides (one replica each); writes die everywhere.
   EXPECT_DOUBLE_EQ(r.read_availability, 1.0);
@@ -66,8 +64,8 @@ TEST_F(ServiceTest, QuorumOneKeepsWritesPerPartition) {
   svc.name = "multi-master";
   svc.replicas = {{40.7, -74.0}, {1.35, 103.8}};
   svc.write_quorum = 1;
-  std::vector<bool> dead = none();
-  dead[asia_] = true;
+  util::Bitset dead = none();
+  dead.set(asia_);
   const AvailabilityReport r = evaluate_service(net_, dead, svc);
   EXPECT_DOUBLE_EQ(r.write_availability, 1.0);
 }
@@ -77,8 +75,8 @@ TEST_F(ServiceTest, SingleReplicaLosesFarSide) {
   svc.name = "us-only";
   svc.replicas = {{40.7, -74.0}};  // NY only
   svc.write_quorum = 1;
-  std::vector<bool> dead = none();
-  dead[atl_] = true;  // NY isolated
+  util::Bitset dead = none();
+  dead.set(atl_);  // NY isolated
   const AvailabilityReport r = evaluate_service(net_, dead, svc);
   // NY becomes its own island partition: clients attached to the same dark
   // landing station as the replica keep local service. In this 4-node toy
@@ -100,8 +98,8 @@ TEST_F(ServiceTest, PerContinentBreakdown) {
   svc.name = "asia-db";
   svc.replicas = {{1.35, 103.8}};
   svc.write_quorum = 1;
-  std::vector<bool> dead = none();
-  dead[atl_] = true;  // NA cut off
+  util::Bitset dead = none();
+  dead.set(atl_);  // NA cut off
   const AvailabilityReport r = evaluate_service(net_, dead, svc);
   for (const ContinentAvailability& c : r.per_continent) {
     if (c.continent == geo::Continent::kNorthAmerica) {
@@ -150,14 +148,11 @@ TEST_F(ServiceTest, EvaluatorMatchesOneShotApi) {
   ServiceEvaluator evaluator(net_, svc);
   util::Rng rng(77);
   for (int draw = 0; draw < 20; ++draw) {
-    std::vector<bool> dead_vb(net_.cable_count());
     util::Bitset dead_bits(net_.cable_count());
     for (std::size_t c = 0; c < net_.cable_count(); ++c) {
-      const bool dead = rng.bernoulli(0.4);
-      dead_vb[c] = dead;
-      dead_bits.set(c, dead);
+      dead_bits.set(c, rng.bernoulli(0.4));
     }
-    const AvailabilityReport ref = evaluate_service(net_, dead_vb, svc);
+    const AvailabilityReport ref = evaluate_service(net_, dead_bits, svc);
     const AvailabilityReport got = evaluator.evaluate(dead_bits);
     EXPECT_DOUBLE_EQ(got.read_availability, ref.read_availability);
     EXPECT_DOUBLE_EQ(got.write_availability, ref.write_availability);

@@ -44,10 +44,10 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
 IncrementalAggregates naive_step(const topo::InfrastructureNetwork& net,
                                  const std::vector<std::uint32_t>& first_dead,
                                  std::size_t g) {
-  std::vector<bool> dead(net.cable_count(), false);
+  util::Bitset dead(net.cable_count());
   IncrementalAggregates agg;
   for (std::size_t c = 0; c < net.cable_count(); ++c) {
-    dead[c] = first_dead[c] <= g;
+    dead.set(c, first_dead[c] <= g);
     if (!dead[c]) ++agg.alive_cables;
   }
   agg.lit_nodes =

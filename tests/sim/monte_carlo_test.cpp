@@ -100,7 +100,8 @@ TEST_F(SimTest, ZeroProbabilityKillsNothing) {
   const gic::UniformFailureModel never(0.0);
   util::Rng rng(1);
   const auto dead = sim.sample_cable_failures(never, rng);
-  for (bool d : dead) EXPECT_FALSE(d);
+  EXPECT_EQ(dead.size(), net_.cable_count());
+  EXPECT_TRUE(dead.none());
 }
 
 TEST_F(SimTest, TrialCountsNodesPerPaperDefinition) {
@@ -259,7 +260,7 @@ TEST_F(SimTest, InPlaceSamplingMatchesAllocatingOverload) {
   const gic::UniformFailureModel m(0.3);
   util::Rng a(11);
   util::Rng b(11);
-  std::vector<bool> reused(99, true);  // wrong size + stale contents on entry
+  util::Bitset reused(99, true);  // wrong size + stale contents on entry
   for (int i = 0; i < 5; ++i) {
     sim.sample_cable_failures(m, a, reused);
     EXPECT_EQ(reused, sim.sample_cable_failures(m, b));
@@ -512,19 +513,19 @@ TEST_F(SimTest, FractionRuleStricterThanAnyRule) {
 // The sampler the fraction rule used before it was folded into the table:
 // every repeater drawn individually, the cable dead once the failed share
 // reaches the fraction.
-std::vector<bool> per_repeater_draw(const FailureSimulator& sim,
-                                    const gic::RepeaterFailureModel& model,
-                                    util::Rng& rng) {
+util::Bitset per_repeater_draw(const FailureSimulator& sim,
+                               const gic::RepeaterFailureModel& model,
+                               util::Rng& rng) {
   const topo::InfrastructureNetwork& net = sim.network();
-  std::vector<bool> dead(net.cable_count(), false);
+  util::Bitset dead(net.cable_count());
   for (topo::CableId c = 0; c < net.cable_count(); ++c) {
     const auto p = repeater_probabilities(
         net, c, sim.config().repeater_spacing_km, model);
     if (p.empty()) continue;
     std::size_t failed = 0;
     for (const double v : p) failed += rng.bernoulli(v) ? 1 : 0;
-    dead[c] = static_cast<double>(failed) / static_cast<double>(p.size()) >=
-              sim.config().death_fraction;
+    dead.set(c, static_cast<double>(failed) / static_cast<double>(p.size()) >=
+                    sim.config().death_fraction);
   }
   return dead;
 }

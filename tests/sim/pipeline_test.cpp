@@ -13,6 +13,7 @@
 #include "analysis/dns_resolution.h"
 #include "gic/failure_model.h"
 #include "services/availability.h"
+#include "util/bitset.h"
 #include "util/checkpoint.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -99,51 +100,113 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
   return net;
 }
 
+// Two per-trial statistics accumulated the pipeline's way.
+struct StatsPair {
+  util::RunningStats first;
+  util::RunningStats second;
+};
+
+// Serial reference with no pipeline code in it: trial t draws from
+// base.split(t) through the scalar table draw, `metric` reduces the dead set
+// to the trial's two values, and they accumulate in 32-trial chunks merged
+// in ascending order.
+template <class Metric>
+StatsPair serial_reference(const FailureSimulator& simulator,
+                           const gic::RepeaterFailureModel& model,
+                           std::size_t trials, std::uint64_t seed,
+                           Metric&& metric) {
+  constexpr std::size_t kChunk = 32;
+  const DeathProbabilityTable table = simulator.death_probability_table(model);
+  const util::Rng base(seed);
+  std::vector<StatsPair> chunks((trials + kChunk - 1) / kChunk);
+  util::Bitset dead;
+  for (std::size_t t = 0; t < trials; ++t) {
+    util::Rng rng = base.split(t);
+    simulator.sample_cable_failures(table, rng, dead);
+    const auto [first, second] = metric(dead);
+    chunks[t / kChunk].first.add(first);
+    chunks[t / kChunk].second.add(second);
+  }
+  StatsPair out;
+  for (const StatsPair& slot : chunks) {
+    out.first.merge(slot.first);
+    out.second.merge(slot.second);
+  }
+  return out;
+}
+
+// Cables-failed and nodes-unreachable percentages of every trial.
+StatsPair connectivity_reference(const FailureSimulator& simulator,
+                                 const gic::RepeaterFailureModel& model,
+                                 std::size_t trials, std::uint64_t seed) {
+  const topo::InfrastructureNetwork& net = simulator.network();
+  const double cables = static_cast<double>(net.cable_count());
+  const double connected = static_cast<double>(net.connected_node_count());
+  return serial_reference(
+      simulator, model, trials, seed, [&](const util::Bitset& dead) {
+        return std::pair{
+            100.0 * static_cast<double>(dead.count()) / cables,
+            100.0 * static_cast<double>(net.unreachable_nodes(dead).size()) /
+                connected};
+      });
+}
+
 TEST_F(PipelineTest, ConnectivityObserverMatchesRunTrialsBitForBit) {
   const gic::UniformFailureModel model(0.3);
   TrialConfig cfg;
   cfg.threads = 1;
   const FailureSimulator simulator(net_, cfg);
-  const AggregateResult reference = simulator.run_trials(model, 150, 9);
+  const StatsPair reference = connectivity_reference(simulator, model, 150, 9);
+  const AggregateResult aggregate = simulator.run_trials(model, 150, 9);
 
   TrialPipeline pipeline(simulator, model);
   ConnectivityObserver connectivity;
   pipeline.add_observer(connectivity);
   pipeline.run(150, 9);
 
-  EXPECT_EQ(connectivity.result().trials, reference.trials);
-  expect_stats_eq(connectivity.result().cables_failed_pct,
-                  reference.cables_failed_pct);
+  EXPECT_EQ(connectivity.result().trials, aggregate.trials);
+  expect_stats_eq(connectivity.result().cables_failed_pct, reference.first);
   expect_stats_eq(connectivity.result().nodes_unreachable_pct,
-                  reference.nodes_unreachable_pct);
+                  reference.second);
+  expect_stats_eq(aggregate.cables_failed_pct, reference.first);
+  expect_stats_eq(aggregate.nodes_unreachable_pct, reference.second);
 }
 
 TEST_F(PipelineTest, SupportsFractionFailsRule) {
   // Under kFractionFails the pipeline draws against the rule's death table
-  // like any other and matches run_trials draw for draw.
+  // like any other and matches the serial table draw draw for draw.
   const gic::UniformFailureModel model(0.4);
   TrialConfig cfg;
   cfg.rule = CableDeathRule::kFractionFails;
   cfg.death_fraction = 0.3;
   cfg.threads = 1;
   const FailureSimulator simulator(net_, cfg);
-  const AggregateResult reference = simulator.run_trials(model, 100, 21);
+  const StatsPair reference = connectivity_reference(simulator, model, 100, 21);
+  const AggregateResult aggregate = simulator.run_trials(model, 100, 21);
 
   TrialPipeline pipeline(simulator, model);
   ConnectivityObserver connectivity;
   pipeline.add_observer(connectivity);
   pipeline.run(100, 21);
 
-  expect_stats_eq(connectivity.result().cables_failed_pct,
-                  reference.cables_failed_pct);
+  expect_stats_eq(connectivity.result().cables_failed_pct, reference.first);
   expect_stats_eq(connectivity.result().nodes_unreachable_pct,
-                  reference.nodes_unreachable_pct);
+                  reference.second);
+  expect_stats_eq(aggregate.cables_failed_pct, reference.first);
+  expect_stats_eq(aggregate.nodes_unreachable_pct, reference.second);
 }
 
 TEST_F(PipelineTest, AvailabilityObserverMatchesAvailabilitySweep) {
   const auto model = gic::LatitudeBandFailureModel::s1();
   const FailureSimulator simulator(net_, {});
-  const services::AvailabilitySweep reference = services::availability_sweep(
+  services::ServiceEvaluator evaluator(net_, two_replica_service());
+  services::AvailabilityReport report;
+  const StatsPair reference = serial_reference(
+      simulator, model, 100, 11, [&](const util::Bitset& dead) {
+        evaluator.evaluate(dead, report);
+        return std::pair{report.read_availability, report.write_availability};
+      });
+  const services::AvailabilitySweep sweep = services::availability_sweep(
       simulator, model, two_replica_service(), 100, 11, 1);
 
   TrialPipeline pipeline(simulator, model);
@@ -151,12 +214,13 @@ TEST_F(PipelineTest, AvailabilityObserverMatchesAvailabilitySweep) {
   pipeline.add_observer(availability);
   pipeline.run(100, 11, 1);
 
-  EXPECT_EQ(availability.result().service, reference.service);
-  EXPECT_EQ(availability.result().draws, reference.draws);
-  expect_stats_eq(availability.result().read_availability,
-                  reference.read_availability);
-  expect_stats_eq(availability.result().write_availability,
-                  reference.write_availability);
+  EXPECT_EQ(availability.result().service, sweep.service);
+  EXPECT_EQ(availability.result().draws, sweep.draws);
+  EXPECT_EQ(sweep.draws, 100u);
+  expect_stats_eq(availability.result().read_availability, reference.first);
+  expect_stats_eq(availability.result().write_availability, reference.second);
+  expect_stats_eq(sweep.read_availability, reference.first);
+  expect_stats_eq(sweep.write_availability, reference.second);
 }
 
 TEST_F(PipelineTest, ZeroTrialsYieldsEmptyResults) {

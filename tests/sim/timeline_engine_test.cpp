@@ -277,7 +277,7 @@ TEST_F(TimelineEngineTest, PlaybackMatchesNaivePerStepRecompute) {
     util::Rng rng = base.split(trial);
     engine.playback(rng, scratch);
     for (std::size_t i = 0; i < total_steps; ++i) {
-      std::vector<bool> dead(cables, false);
+      util::Bitset dead(cables);
       std::size_t dead_count = 0;
       for (std::size_t c = 0; c < cables; ++c) {
         if (scratch.fail_step[c] >= storm_steps) continue;
@@ -286,7 +286,7 @@ TEST_F(TimelineEngineTest, PlaybackMatchesNaivePerStepRecompute) {
                 ? scratch.fail_step[c] <= i
                 : engine.step_hour(i) < scratch.restore_hour[c];
         if (is_dead) {
-          dead[c] = true;
+          dead.set(c);
           ++dead_count;
         }
       }

@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "geo/distance.h"
+#include "util/bitset.h"
 
 namespace solarnet::topo {
 namespace {
+
+// Dead set from per-cable flags, cable 0 first.
+util::Bitset dead_set(std::initializer_list<bool> flags) {
+  util::Bitset out(flags.size());
+  std::size_t i = 0;
+  for (const bool flag : flags) out.set(i++, flag);
+  return out;
+}
 
 class NetworkTest : public ::testing::Test {
  protected:
@@ -100,37 +111,37 @@ TEST_F(NetworkTest, GraphViewMatchesTopology) {
 }
 
 TEST_F(NetworkTest, MaskForFailuresKillsSegments) {
-  std::vector<bool> dead(3, false);
-  dead[c0_] = true;
+  util::Bitset dead(3);
+  dead.set(c0_);
   const auto mask = net_.mask_for_failures(dead);
   EXPECT_FALSE(mask.edge_alive[net_.edges_of_cable(c0_)[0]]);
   EXPECT_TRUE(mask.edge_alive[net_.edges_of_cable(c1_)[0]]);
-  EXPECT_THROW(net_.mask_for_failures({true}), std::invalid_argument);
+  EXPECT_THROW(net_.mask_for_failures(util::Bitset(1)), std::invalid_argument);
 }
 
 TEST_F(NetworkTest, UnreachableNodesPaperDefinition) {
   // Kill C0 and C2: A loses both its cables; B and C still have C1.
-  std::vector<bool> dead = {true, false, true};
+  const util::Bitset dead = dead_set({true, false, true});
   const auto unreachable = net_.unreachable_nodes(dead);
   ASSERT_EQ(unreachable.size(), 1u);
   EXPECT_EQ(unreachable[0], a_);
 }
 
 TEST_F(NetworkTest, UnreachableNodesInPlaceOverloadReusesBuffer) {
-  std::vector<bool> dead = {true, false, true};
+  const util::Bitset dead = dead_set({true, false, true});
   std::vector<NodeId> out = {99, 98, 97};  // stale contents must be cleared
   net_.unreachable_nodes(dead, out);
   EXPECT_EQ(out, net_.unreachable_nodes(dead));
   // A second, different query reuses the same buffer.
-  std::vector<bool> all_dead = {true, true, true};
+  const util::Bitset all_dead = dead_set({true, true, true});
   net_.unreachable_nodes(all_dead, out);
   EXPECT_EQ(out, net_.unreachable_nodes(all_dead));
-  EXPECT_THROW(net_.unreachable_nodes(std::vector<bool>{true}, out),
+  EXPECT_THROW(net_.unreachable_nodes(util::Bitset(1), out),
                std::invalid_argument);
 }
 
 TEST_F(NetworkTest, NodeWithoutCablesNeverUnreachable) {
-  std::vector<bool> all_dead = {true, true, true};
+  const util::Bitset all_dead = dead_set({true, true, true});
   const auto unreachable = net_.unreachable_nodes(all_dead);
   EXPECT_EQ(unreachable.size(), 3u);  // A, B, C — never the cable-less D
 }
@@ -176,8 +187,8 @@ TEST_F(NetworkTest, MultiSegmentCableSharesFate) {
   c.segments = {{a_, e, 3000.0}, {e, c_, 2500.0}};
   const CableId id = net_.add_cable(std::move(c));
   EXPECT_EQ(net_.edges_of_cable(id).size(), 2u);
-  std::vector<bool> dead(net_.cable_count(), false);
-  dead[id] = true;
+  util::Bitset dead(net_.cable_count());
+  dead.set(id);
   const auto mask = net_.mask_for_failures(dead);
   for (auto edge : net_.edges_of_cable(id)) {
     EXPECT_FALSE(mask.edge_alive[edge]);

@@ -271,9 +271,7 @@ int cmd_repair(const Args& args) {
   fleet.cable_ships =
       static_cast<std::size_t>(args.get_int_or("ships", 60));
   const auto timeline = recovery::schedule_repairs(net, dead, faults, fleet);
-  std::size_t failed = 0;
-  for (bool d : dead) failed += d ? 1 : 0;
-  std::cout << "failed cables: " << failed << " (model " << model.name()
+  std::cout << "failed cables: " << dead.count() << " (model " << model.name()
             << ", " << fleet.cable_ships << " ships)\n";
   util::TextTable t({"restored fraction", "day"});
   for (double frac : {0.25, 0.5, 0.75, 0.9, 1.0}) {
