@@ -13,7 +13,9 @@
 //      all_fail_probability / expected_survivors (4 SE at 512 trials) and is
 //      exact at the deterministic p = 1 endpoint,
 //   5. the full observer set is bit-identical across thread counts,
-//   6. the steady-state trial loop performs ZERO heap allocations,
+//   6. the steady-state trial loop performs ZERO heap allocations, on the
+//      scalar path (run_trial) and on the 64-lane path (run_batch, label
+//      rows included),
 //   7. figure-checkpoint sanity: uniform p = 0.01 at 150 km spacing loses
 //      ~15.8% of submarine cables / ~11.0% of nodes (paper §4.3.1).
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
@@ -21,7 +23,11 @@
 // independent Monte-Carlo pass per metric, each redrawing failures and
 // re-decomposing components) against one pipeline pass fanning the shared
 // draw out to all five observers, asserts the >= 3x acceptance speedup,
-// and emits BENCH_pipeline.json.
+// and gates the current default path in the same process: the warm
+// five-observer pipeline on the default (64-lane) engine against the same
+// observers on TrialEngine::kScalar — bit-identical results for all five
+// and >= 3x. Absolute µs/trial of both land in BENCH_pipeline.json.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -81,6 +87,18 @@ const sim::FailureSimulator& submarine_sim() {
   static const sim::FailureSimulator s(submarine(), [] {
     sim::TrialConfig cfg;
     cfg.threads = 1;
+    return cfg;
+  }());
+  return s;
+}
+
+// The same simulator on the per-trial scalar engine: the reference of the
+// engine gate.
+const sim::FailureSimulator& submarine_scalar_sim() {
+  static const sim::FailureSimulator s(submarine(), [] {
+    sim::TrialConfig cfg;
+    cfg.threads = 1;
+    cfg.engine = sim::TrialEngine::kScalar;
     return cfg;
   }());
   return s;
@@ -264,7 +282,7 @@ void check_dns_exact_replay() {
     submarine_sim().sample_cable_failures(table, rng, dead);
     submarine().mask_for_failures(dead, mask);
     graph::connected_components(submarine().csr(), mask, scratch, components);
-    evaluator.evaluate(dead, components, report);
+    evaluator.evaluate(components.component, report);
     Chunk& slot = per_chunk[t / sim::TrialPipeline::kTrialChunk];
     slot.availability.add(report.resolution_availability);
     slot.letters.add(report.mean_letters_reachable);
@@ -407,8 +425,10 @@ void check_thread_bit_identity() {
 }
 
 // Once per-worker scratch and the observers' slots are warm, the per-trial
-// loop (draw + mask + components + all five observers) never allocates.
-// The counted pass replays the warm-up's exact draw sequence.
+// loop (draw + mask + components + all five observers) never allocates —
+// per scalar trial (run_trial) or per 64-lane batch (run_batch: draw,
+// counts, components with label rows, batch observers). The counted pass
+// replays the warm-up's exact draw sequence.
 void check_zero_steady_state_allocations() {
   constexpr std::size_t kSteadyTrials = 64;
   const services::ServiceSpec spec =
@@ -420,6 +440,7 @@ void check_zero_steady_state_allocations() {
   analysis::CountryIsolationObserver isolation(submarine(), {"US", "SG"});
   std::vector<sim::TrialObserver*> observers = {&connectivity, &availability,
                                                 &dns, &isolation};
+  static_assert(kSteadyTrials % sim::TrialBatchKernel::kLanes == 0);
   for (sim::TrialObserver* o : observers) pipeline.add_observer(*o);
 
   const std::size_t chunks = sim::TrialPipeline::chunk_count(kSteadyTrials);
@@ -432,18 +453,33 @@ void check_zero_steady_state_allocations() {
                          t / sim::TrialPipeline::kTrialChunk);
     }
   };
-  loop();  // warm every buffer over the same sequence
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  loop();
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  for (sim::TrialObserver* o : observers) o->end_run();
-  if (after != before) {
-    std::fprintf(stderr,
-                 "perf_pipeline equivalence check FAILED: steady-state trial "
-                 "loop allocated %zu times over %zu trials\n",
-                 after - before, kSteadyTrials);
-    std::exit(1);
+  sim::PipelineBatchScratch batch_scratch;
+  auto batch_loop = [&] {
+    for (std::size_t first = 0; first < kSteadyTrials;
+         first += sim::TrialBatchKernel::kLanes) {
+      pipeline.run_batch(first, sim::TrialBatchKernel::kLanes, base,
+                         batch_scratch, 0);
+    }
+  };
+  const auto expect_no_allocations = [&](const char* what, auto&& run) {
+    run();  // warm every buffer over the same sequence
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    run();
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    if (after != before) {
+      std::fprintf(stderr,
+                   "perf_pipeline equivalence check FAILED: steady-state %s "
+                   "loop allocated %zu times over %zu trials\n",
+                   what, after - before, kSteadyTrials);
+      std::exit(1);
+    }
+  };
+  expect_no_allocations("trial", loop);
+  expect_no_allocations("batch", batch_loop);
+  if (batch_scratch.labels.empty()) {
+    fail("the batch loop wrote no component labels for label readers");
   }
+  for (sim::TrialObserver* o : observers) o->end_run();
 }
 
 // Paper §4.3.1 checkpoint: uniform p = 0.01 at the default 150 km repeater
@@ -459,6 +495,79 @@ void check_figure_checkpoints() {
   if (std::abs(agg.cables_failed_pct.mean() - 15.8) > 2.0 ||
       std::abs(agg.nodes_unreachable_pct.mean() - 11.0) > 2.5) {
     fail("figure checkpoint drifted from the paper's §4.3.1 values");
+  }
+}
+
+// The report's five observers registered on one pipeline.
+struct ReportPipeline {
+  ReportPipeline(const sim::FailureSimulator& simulator,
+                 const std::vector<std::string>& countries)
+      : pipeline(simulator, s1_model()),
+        google(submarine(),
+               datacenter_service(datasets::DataCenterOperator::kGoogle)),
+        facebook(submarine(),
+                 datacenter_service(datasets::DataCenterOperator::kFacebook)),
+        dns(submarine(), dns_roots(), 10.0),
+        isolation(submarine(), countries) {
+    pipeline.add_observer(connectivity);
+    pipeline.add_observer(google);
+    pipeline.add_observer(facebook);
+    pipeline.add_observer(dns);
+    pipeline.add_observer(isolation);
+  }
+
+  sim::TrialPipeline pipeline;
+  sim::ConnectivityObserver connectivity;
+  services::AvailabilityObserver google;
+  services::AvailabilityObserver facebook;
+  analysis::DnsResolutionObserver dns;
+  analysis::CountryIsolationObserver isolation;
+};
+
+// Every result field of the five observers, bit for bit.
+void check_reports_identical(const ReportPipeline& a, const ReportPipeline& b) {
+  const auto& ca = a.connectivity.result();
+  const auto& cb = b.connectivity.result();
+  if (ca.trials != cb.trials) fail("engine gate: connectivity trial counts");
+  check_stats_identical(ca.cables_failed_pct, cb.cables_failed_pct,
+                        "engine gate: cables-failed diverged");
+  check_stats_identical(ca.nodes_unreachable_pct, cb.nodes_unreachable_pct,
+                        "engine gate: nodes-unreachable diverged");
+  check_stats_identical(ca.largest_component_pct, cb.largest_component_pct,
+                        "engine gate: largest component diverged");
+  for (const auto& [x, y] : {std::pair{&a.google, &b.google},
+                             std::pair{&a.facebook, &b.facebook}}) {
+    if (x->result().draws != y->result().draws) {
+      fail("engine gate: availability draw counts");
+    }
+    check_stats_identical(x->result().read_availability,
+                          y->result().read_availability,
+                          "engine gate: read availability diverged");
+    check_stats_identical(x->result().write_availability,
+                          y->result().write_availability,
+                          "engine gate: write availability diverged");
+  }
+  const auto& da = a.dns.result();
+  const auto& db = b.dns.result();
+  check_stats_identical(da.resolution_availability, db.resolution_availability,
+                        "engine gate: DNS availability diverged");
+  check_stats_identical(da.mean_letters_reachable, db.mean_letters_reachable,
+                        "engine gate: DNS letters diverged");
+  if (da.trials != db.trials || da.degraded_trials != db.degraded_trials ||
+      da.heavy_loss_trials != db.heavy_loss_trials ||
+      da.joint_trials != db.joint_trials) {
+    fail("engine gate: DNS counters diverged");
+  }
+  const auto& ia = a.isolation.results();
+  const auto& ib = b.isolation.results();
+  if (ia.size() != ib.size()) fail("engine gate: country counts");
+  for (std::size_t i = 0; i < ia.size(); ++i) {
+    if (ia[i].trials != ib[i].trials ||
+        ia[i].isolated_trials != ib[i].isolated_trials) {
+      fail("engine gate: country isolation diverged");
+    }
+    check_stats_identical(ia[i].surviving_cables, ib[i].surviving_cables,
+                          "engine gate: country survivors diverged");
   }
 }
 
@@ -547,20 +656,11 @@ int main() {
     // Pipeline + observer construction (death-table fold, replica and root
     // resolution) counts toward the new path: it is what a cold report
     // run pays.
-    sim::TrialPipeline pipeline(submarine_sim(), s1_model());
-    sim::ConnectivityObserver connectivity;
-    services::AvailabilityObserver g(submarine(), google);
-    services::AvailabilityObserver f(submarine(), facebook);
-    analysis::DnsResolutionObserver dns(submarine(), dns_roots(), 10.0);
-    analysis::CountryIsolationObserver isolation(submarine(), countries);
-    pipeline.add_observer(connectivity);
-    pipeline.add_observer(g);
-    pipeline.add_observer(f);
-    pipeline.add_observer(dns);
-    pipeline.add_observer(isolation);
-    pipeline.run(kTrials, kSeed, 1);
-    if (connectivity.result().trials != kTrials ||
-        g.result().draws != kTrials || dns.result().trials != kTrials) {
+    ReportPipeline cold(submarine_sim(), countries);
+    cold.pipeline.run(kTrials, kSeed, 1);
+    if (cold.connectivity.result().trials != kTrials ||
+        cold.google.result().draws != kTrials ||
+        cold.dns.result().trials != kTrials) {
       std::exit(1);
     }
   });
@@ -568,20 +668,10 @@ int main() {
   // Warm pipeline: observers and evaluators already built — the marginal
   // cost of one more multi-metric pass (what each extra (network, model)
   // section of a report pays after the first).
-  sim::TrialPipeline warm_pipeline(submarine_sim(), s1_model());
-  sim::ConnectivityObserver warm_conn;
-  services::AvailabilityObserver warm_g(submarine(), google);
-  services::AvailabilityObserver warm_f(submarine(), facebook);
-  analysis::DnsResolutionObserver warm_dns(submarine(), dns_roots(), 10.0);
-  analysis::CountryIsolationObserver warm_iso(submarine(), countries);
-  warm_pipeline.add_observer(warm_conn);
-  warm_pipeline.add_observer(warm_g);
-  warm_pipeline.add_observer(warm_f);
-  warm_pipeline.add_observer(warm_dns);
-  warm_pipeline.add_observer(warm_iso);
+  ReportPipeline warm(submarine_sim(), countries);
   const double warm_ms = benchutil::time_best_ms([&] {
-    warm_pipeline.run(kTrials, kSeed, 1);
-    if (warm_conn.result().trials != kTrials) std::exit(1);
+    warm.pipeline.run(kTrials, kSeed, 1);
+    if (warm.connectivity.result().trials != kTrials) std::exit(1);
   });
 
   const double speedup = old_ms / new_ms;
@@ -593,20 +683,67 @@ int main() {
   std::printf("  new (one pipeline pass, warm):    %10.3f ms\n", warm_ms);
   std::printf("  speedup (old/new cold):           %10.2fx\n", speedup);
 
+  // --- gate: the default engine against the scalar engine -----------------
+  // The current default path (64-lane draw, labels from the batch
+  // union-find, all five observers batch-capable) against the same warm
+  // observers on TrialEngine::kScalar — the per-trial mask + component
+  // rebuild every lane paid before the observers took the batch path.
+  // Same process, same trials, one thread each.
+  constexpr std::size_t kEngineTrials = 2048;
+  ReportPipeline& batched = warm;
+  ReportPipeline scalar(submarine_scalar_sim(), countries);
+  // Alternate the two engines and keep each one's best run, so a drift in
+  // the host's speed hits both sides of the ratio alike.
+  double batch_engine_ms = 0.0;
+  double scalar_engine_ms = 0.0;
+  for (int round = 0; round < 5; ++round) {
+    const double b = benchutil::time_best_ms(
+        [&] { batched.pipeline.run(kEngineTrials, kSeed, 1); }, 1);
+    const double s = benchutil::time_best_ms(
+        [&] { scalar.pipeline.run(kEngineTrials, kSeed, 1); }, 1);
+    batch_engine_ms = round == 0 ? b : std::min(batch_engine_ms, b);
+    scalar_engine_ms = round == 0 ? s : std::min(scalar_engine_ms, s);
+  }
+  check_reports_identical(batched, scalar);
+  const double batch_us = 1000.0 * batch_engine_ms / kEngineTrials;
+  const double scalar_us = 1000.0 * scalar_engine_ms / kEngineTrials;
+  const double engine_speedup = scalar_engine_ms / batch_engine_ms;
+  std::printf("perf_pipeline: warm 5-observer pipeline, %zu trials, 1 thread\n",
+              kEngineTrials);
+  std::printf("  scalar engine:                    %10.3f us/trial\n",
+              scalar_us);
+  std::printf("  default (64-lane) engine:         %10.3f us/trial\n",
+              batch_us);
+  std::printf("  speedup (scalar/default):         %10.2fx\n",
+              engine_speedup);
+
   benchutil::write_bench_json(
       "pipeline", {{"trials", static_cast<double>(kTrials), "count"},
                    {"metrics", 5.0, "count"},
                    {"old_report_path_ms", old_ms, "ms"},
                    {"new_pipeline_cold_ms", new_ms, "ms"},
                    {"new_pipeline_warm_ms", warm_ms, "ms"},
-                   {"speedup_cold", speedup, "x"}});
+                   {"speedup_cold", speedup, "x"},
+                   {"engine_trials", static_cast<double>(kEngineTrials),
+                    "count"},
+                   {"scalar_engine_us_per_trial", scalar_us, "us"},
+                   {"default_engine_us_per_trial", batch_us, "us"},
+                   {"engine_speedup", engine_speedup, "x"}});
 
+  int status = 0;
   if (speedup < 3.0) {
     std::fprintf(stderr,
                  "perf_pipeline FAILED: speedup %.2fx below the 3x acceptance "
                  "threshold\n",
                  speedup);
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (engine_speedup < 3.0) {
+    std::fprintf(stderr,
+                 "perf_pipeline FAILED: default engine only %.2fx faster than "
+                 "the scalar engine on the five-observer pipeline (gate 3x)\n",
+                 engine_speedup);
+    status = 1;
+  }
+  return status;
 }

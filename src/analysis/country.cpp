@@ -133,21 +133,43 @@ void CountryIsolationObserver::begin_run(
   results_.clear();
 }
 
+void CountryIsolationObserver::record(std::size_t chunk, std::size_t i,
+                                      std::size_t survivors) {
+  Slot& slot = chunks_[chunk * countries_.size() + i];
+  slot.survivors.add(static_cast<double>(survivors));
+  // A country with no international cables is vacuously "all failed"
+  // (matching all_fail_probability's empty-set convention of 1.0).
+  if (survivors == 0) ++slot.isolated;
+}
+
 void CountryIsolationObserver::observe(const sim::TrialView& view,
                                        std::size_t /*worker*/,
                                        std::size_t chunk) {
   const util::Bitset& dead = *view.cable_dead;
   for (std::size_t i = 0; i < countries_.size(); ++i) {
-    const std::vector<topo::CableId>& cables = cables_[i];
     std::size_t survivors = 0;
-    for (topo::CableId c : cables) {
+    for (topo::CableId c : cables_[i]) {
       if (!dead[c]) ++survivors;
     }
-    Slot& slot = chunks_[chunk * countries_.size() + i];
-    slot.survivors.add(static_cast<double>(survivors));
-    // A country with no international cables is vacuously "all failed"
-    // (matching all_fail_probability's empty-set convention of 1.0).
-    if (survivors == 0) ++slot.isolated;
+    record(chunk, i, survivors);
+  }
+}
+
+void CountryIsolationObserver::observe_batch(const sim::BatchTrialView& view,
+                                             std::size_t /*worker*/,
+                                             std::size_t first_chunk) {
+  // Each country's slots see their trials in ascending order, exactly the
+  // sequence the scalar observe() calls add.
+  const std::uint64_t* dead = view.batch->cable_dead.data();
+  for (std::size_t i = 0; i < countries_.size(); ++i) {
+    for (unsigned lane = 0; lane < view.lanes; ++lane) {
+      std::size_t survivors = 0;
+      for (topo::CableId c : cables_[i]) {
+        survivors += ((dead[c] >> lane) & 1u) ^ 1u;
+      }
+      record(first_chunk + lane / sim::TrialPipeline::kTrialChunk, i,
+             survivors);
+    }
   }
 }
 

@@ -95,7 +95,9 @@ struct CountryIsolationResult {
 // Observes several countries at once; cable sets are resolved once at
 // construction and each trial costs O(sum of international cables). Does
 // not need the component decomposition (isolation is a pure cable-set
-// property, §4.3.4's definition).
+// property, §4.3.4's definition). Batch-capable: on the 64-lane path it
+// reads the cable-major dead words directly — a country is isolated in
+// lane t iff bit t is set in every one of its cables' words.
 class CountryIsolationObserver final : public sim::CheckpointableObserver {
  public:
   CountryIsolationObserver(const topo::InfrastructureNetwork& net,
@@ -111,6 +113,9 @@ class CountryIsolationObserver final : public sim::CheckpointableObserver {
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   // The country list is part of the id: it fixes the per-chunk slot layout,
@@ -124,6 +129,9 @@ class CountryIsolationObserver final : public sim::CheckpointableObserver {
     std::size_t isolated = 0;
     util::RunningStats survivors;
   };
+  // One trial of country i: `survivors` of its cables alive.
+  void record(std::size_t chunk, std::size_t i, std::size_t survivors);
+
   std::vector<std::string> countries_;
   std::vector<std::vector<topo::CableId>> cables_;  // per country
   std::vector<Slot> chunks_;  // chunk-major: [chunk * countries + country]

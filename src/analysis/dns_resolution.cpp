@@ -1,5 +1,7 @@
 #include "analysis/dns_resolution.h"
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "graph/components.h"
@@ -10,53 +12,54 @@ namespace solarnet::analysis {
 DnsResolutionEvaluator::DnsResolutionEvaluator(
     const topo::InfrastructureNetwork& net,
     const std::vector<datasets::DnsRootInstance>& roots) {
-  // Treat each root letter as a service with quorum 1 (anycast: any
-  // reachable instance serves the zone); letters with no instances are
-  // skipped.
-  std::array<services::ServiceSpec, 13> specs;
-  for (int l = 0; l < 13; ++l) {
-    specs[l].name = std::string(1, static_cast<char>('a' + l));
-    specs[l].write_quorum = 1;
+  const topo::AttachmentIndex& attachment = net.attachment_index();
+  for (const auto& [continent, anchor] : services::continent_anchors()) {
+    anchors_.emplace_back(continent, attachment.attach(anchor));
   }
+  std::array<std::vector<topo::NodeId>, 13> nodes;
+  std::array<bool, 13> populated{};
   for (const datasets::DnsRootInstance& r : roots) {
-    specs[r.root_letter - 'a'].replicas.push_back(r.location);
+    const int l = r.root_letter - 'a';
+    populated[l] = true;
+    const topo::NodeId node = attachment.attach(r.location);
+    if (node == topo::kInvalidNode) continue;
+    if (std::find(nodes[l].begin(), nodes[l].end(), node) == nodes[l].end()) {
+      nodes[l].push_back(node);
+    }
   }
-  for (services::ServiceSpec& spec : specs) {
-    if (spec.replicas.empty()) continue;
-    letters_.emplace_back(net, std::move(spec));
+  // Letters with no instances are skipped.
+  letter_offset_.push_back(0);
+  for (int l = 0; l < 13; ++l) {
+    if (!populated[l]) continue;
+    letter_nodes_.insert(letter_nodes_.end(), nodes[l].begin(), nodes[l].end());
+    letter_offset_.push_back(static_cast<std::uint32_t>(letter_nodes_.size()));
   }
 }
 
-void DnsResolutionEvaluator::evaluate(const util::Bitset& cable_dead,
-                                      const graph::ComponentResult& components,
-                                      DnsResolutionReport& out) {
+void DnsResolutionEvaluator::evaluate(
+    std::span<const std::uint32_t> component_label,
+    DnsResolutionReport& out) const {
   out.per_continent.clear();
   out.resolution_availability = 0.0;
   out.mean_letters_reachable = 0.0;
 
-  // Collate per continent across letters. Every letter reports the same
-  // fixed set of continent anchors, so the first letter seeds the rows and
-  // the rest fold into them by position.
-  bool first = true;
-  for (services::ServiceEvaluator& letter : letters_) {
-    letter.evaluate_with_components(cable_dead, components, letter_report_);
-    if (first) {
-      for (const services::ContinentAvailability& c :
-           letter_report_.per_continent) {
-        DnsResolutionReport::PerContinent pc;
-        pc.continent = c.continent;
-        pc.any_root_reachable = c.read_available;
-        pc.letters_reachable = c.read_available ? 1 : 0;
-        out.per_continent.push_back(pc);
+  for (const auto& [continent, anchor_node] : anchors_) {
+    DnsResolutionReport::PerContinent pc;
+    pc.continent = continent;
+    if (anchor_node != topo::kInvalidNode) {
+      const std::uint32_t client = component_label[anchor_node];
+      for (std::size_t l = 0; l + 1 < letter_offset_.size(); ++l) {
+        for (std::uint32_t i = letter_offset_[l]; i != letter_offset_[l + 1];
+             ++i) {
+          if (component_label[letter_nodes_[i]] == client) {
+            ++pc.letters_reachable;
+            break;
+          }
+        }
       }
-      first = false;
-      continue;
+      pc.any_root_reachable = pc.letters_reachable > 0;
     }
-    for (std::size_t i = 0; i < letter_report_.per_continent.size(); ++i) {
-      if (!letter_report_.per_continent[i].read_available) continue;
-      out.per_continent[i].any_root_reachable = true;
-      ++out.per_continent[i].letters_reachable;
-    }
+    out.per_continent.push_back(pc);
   }
 
   for (const auto& [cont, share] : services::continent_population_shares()) {
@@ -79,7 +82,7 @@ DnsResolutionReport evaluate_dns_resolution(
   graph::ComponentResult components;
   graph::connected_components(net.csr(), mask, scratch, components);
   DnsResolutionReport report;
-  evaluator.evaluate(cable_dead, components, report);
+  evaluator.evaluate(components.component, report);
   return report;
 }
 
@@ -87,31 +90,44 @@ DnsResolutionObserver::DnsResolutionObserver(
     const topo::InfrastructureNetwork& net,
     const std::vector<datasets::DnsRootInstance>& roots,
     double cable_loss_threshold_pct)
-    : prototype_(net, roots), threshold_pct_(cable_loss_threshold_pct) {}
+    : evaluator_(net, roots), threshold_pct_(cable_loss_threshold_pct) {}
 
 void DnsResolutionObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
                                       std::size_t workers,
                                       std::size_t chunks) {
-  // Fill-construct (the evaluator is copyable but not assignable).
-  workers_ = std::vector<DnsResolutionEvaluator>(workers, prototype_);
   reports_.assign(workers, {});
   chunks_.assign(chunks, {});
   result_ = {};
   result_.cable_loss_threshold_pct = threshold_pct_;
 }
 
-void DnsResolutionObserver::observe(const sim::TrialView& view,
-                                    std::size_t worker, std::size_t chunk) {
+void DnsResolutionObserver::record(
+    std::span<const std::uint32_t> component_label, double cables_failed_pct,
+    std::size_t worker, std::size_t chunk) {
   DnsResolutionReport& report = reports_[worker];
-  workers_[worker].evaluate(*view.cable_dead, *view.components, report);
+  evaluator_.evaluate(component_label, report);
   Chunk& slot = chunks_[chunk];
   slot.availability.add(report.resolution_availability);
   slot.letters.add(report.mean_letters_reachable);
   const bool degraded = resolution_degraded(report.resolution_availability);
-  const bool heavy = view.cables_failed_pct > threshold_pct_;
+  const bool heavy = cables_failed_pct > threshold_pct_;
   if (degraded) ++slot.degraded;
   if (heavy) ++slot.heavy;
   if (degraded && heavy) ++slot.joint;
+}
+
+void DnsResolutionObserver::observe(const sim::TrialView& view,
+                                    std::size_t worker, std::size_t chunk) {
+  record(view.components->component, view.cables_failed_pct, worker, chunk);
+}
+
+void DnsResolutionObserver::observe_batch(const sim::BatchTrialView& view,
+                                          std::size_t worker,
+                                          std::size_t first_chunk) {
+  for (unsigned lane = 0; lane < view.lanes; ++lane) {
+    record(view.labels(lane), view.cables_failed_pct[lane], worker,
+           first_chunk + lane / sim::TrialPipeline::kTrialChunk);
+  }
 }
 
 void DnsResolutionObserver::save_chunk(std::size_t chunk,
@@ -147,7 +163,6 @@ void DnsResolutionObserver::end_run() {
     result_.joint_trials += slot.joint;
   }
   result_.trials = result_.resolution_availability.count();
-  workers_.clear();
   reports_.clear();
   chunks_.clear();
 }

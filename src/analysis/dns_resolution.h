@@ -6,15 +6,17 @@
 // which bounds resolver retry behaviour.
 //
 // Two tiers mirror the services module: evaluate_dns_resolution is the
-// one-shot API (builds the 13 per-letter evaluators per call);
-// DnsResolutionEvaluator resolves every letter's instances once and then
-// answers per-draw queries against a shared component decomposition, and
-// DnsResolutionObserver runs it per trial on a sim::TrialPipeline —
+// one-shot API (resolves every instance per call); DnsResolutionEvaluator
+// resolves every letter's instances once and then answers per-draw queries
+// from shared per-node component labels, and DnsResolutionObserver runs it
+// per trial on a sim::TrialPipeline (scalar or 64-lane path, one body) —
 // including the joint cross-metric statistic P(resolution degraded AND
 // heavy cable loss), which only a shared-draw pipeline can measure.
 #pragma once
 
-#include <array>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "datasets/infra_points.h"
@@ -47,31 +49,37 @@ DnsResolutionReport evaluate_dns_resolution(
     const topo::InfrastructureNetwork& net, const util::Bitset& cable_dead,
     const std::vector<datasets::DnsRootInstance>& roots);
 
-// Pre-resolved root-letter evaluators for one (network, root set) pair.
-// Construction maps every instance of every populated letter to its landing
-// node once (one services::ServiceEvaluator per letter, quorum 1);
-// evaluate() then costs 13 allocation-free service lookups against a
-// caller-provided component decomposition. Copyable — the observer hands
-// each pipeline worker its own copy. The network must outlive the
-// evaluator.
+// Pre-resolved root letters for one (network, root set) pair. Each letter
+// is a quorum-1 service (anycast: any reachable instance serves the zone).
+// Construction attaches every instance and every continent anchor once
+// (services' attachment rule) and keeps each populated letter's *distinct*
+// landing nodes — the 1,076 seed instances land on a few dozen nodes, so a
+// letter is a short node list. evaluate() then resolves each continent
+// anchor's label once and scans the letters' node lists against it.
 class DnsResolutionEvaluator {
  public:
   DnsResolutionEvaluator(const topo::InfrastructureNetwork& net,
                          const std::vector<datasets::DnsRootInstance>& roots);
 
   // Letters with at least one instance (<= 13).
-  std::size_t letter_count() const noexcept { return letters_.size(); }
+  std::size_t letter_count() const noexcept {
+    return letter_offset_.size() - 1;
+  }
 
-  // Evaluates one draw into `out`, reusing its storage; `components` must
-  // be the masked decomposition for the same network and cable_dead (the
-  // trial pipeline's per-trial result). Allocation-free once warm.
-  void evaluate(const util::Bitset& cable_dead,
-                const graph::ComponentResult& components,
-                DnsResolutionReport& out);
+  // Evaluates one draw into `out`, reusing its storage, from per-node
+  // component labels of the masked network (services::ServiceEvaluator's
+  // label contract: equal label iff same component). Allocation-free once
+  // `out` is warm.
+  void evaluate(std::span<const std::uint32_t> component_label,
+                DnsResolutionReport& out) const;
 
  private:
-  std::vector<services::ServiceEvaluator> letters_;
-  services::AvailabilityReport letter_report_;  // per-draw scratch
+  std::vector<std::pair<geo::Continent, topo::NodeId>> anchors_;
+  // Letter l's distinct attached landing nodes are
+  // letter_nodes_[letter_offset_[l], letter_offset_[l + 1]); instances that
+  // attach nowhere (topo::kInvalidNode) can serve nobody and are dropped.
+  std::vector<std::uint32_t> letter_offset_;
+  std::vector<topo::NodeId> letter_nodes_;
 };
 
 // True when some continent (weighted by population share) cannot reach any
@@ -113,8 +121,9 @@ struct DnsResolutionSweep {
 };
 
 // Trial-pipeline observer: per-trial DNS resolution availability over the
-// shared failure draw and component decomposition, with the fixed-chunk
-// deterministic reduction (bit-identical for every thread count).
+// shared failure draw and component labels, with the fixed-chunk
+// deterministic reduction. Batch-capable with the same evaluation body, so
+// results are bit-identical for every engine and thread count.
 class DnsResolutionObserver final : public sim::CheckpointableObserver {
  public:
   DnsResolutionObserver(const topo::InfrastructureNetwork& net,
@@ -129,6 +138,9 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   std::string checkpoint_id() const override { return "dns-resolution/v1"; }
@@ -143,8 +155,12 @@ class DnsResolutionObserver final : public sim::CheckpointableObserver {
     std::size_t heavy = 0;
     std::size_t joint = 0;
   };
-  DnsResolutionEvaluator prototype_;
-  std::vector<DnsResolutionEvaluator> workers_;
+  // One trial: evaluate against `component_label` into the worker's report
+  // and accumulate into `chunk`'s slot.
+  void record(std::span<const std::uint32_t> component_label,
+              double cables_failed_pct, std::size_t worker, std::size_t chunk);
+
+  DnsResolutionEvaluator evaluator_;
   std::vector<DnsResolutionReport> reports_;  // per-worker scratch
   std::vector<Chunk> chunks_;
   double threshold_pct_;

@@ -7,10 +7,6 @@
 
 namespace solarnet::services {
 
-namespace {
-
-// Continent "client anchors": a representative populous coastal location
-// per continent, attached to the network like every replica.
 const std::vector<std::pair<geo::Continent, geo::GeoPoint>>&
 continent_anchors() {
   static const std::vector<std::pair<geo::Continent, geo::GeoPoint>> anchors =
@@ -24,14 +20,6 @@ continent_anchors() {
       };
   return anchors;
 }
-
-// A node that lost every cable is not "nowhere" — it is its own island
-// partition: parties attached to the same dark landing station can still
-// talk over the local terrestrial network. Each dark node gets a unique
-// synthetic component id above this base so co-located pairs match.
-constexpr std::uint32_t kIslandBase = 0x80000000u;
-
-}  // namespace
 
 ServiceSpec service_from_datacenters(const std::string& name,
                                      const std::vector<geo::GeoPoint>& sites,
@@ -74,29 +62,15 @@ ServiceEvaluator::ServiceEvaluator(const topo::InfrastructureNetwork& net,
   }
 }
 
-std::uint32_t ServiceEvaluator::component_of(
-    topo::NodeId n, const util::Bitset& cable_dead,
-    const graph::ComponentResult& components) const {
-  if (n == topo::kInvalidNode) return graph::ComponentResult::kNoComponent;
-  if (net_.node_unreachable(n, cable_dead)) return kIslandBase + n;
-  return components.component[n];
-}
-
 void ServiceEvaluator::evaluate(const util::Bitset& cable_dead,
                                 AvailabilityReport& out) {
   net_.mask_for_failures(cable_dead, mask_);
   graph::connected_components(*csr_, mask_, comp_scratch_, cc_);
-  evaluate_with_components(cable_dead, cc_, out);
+  evaluate(cc_.component, out);
 }
 
-void ServiceEvaluator::evaluate_with_components(
-    const util::Bitset& cable_dead, const graph::ComponentResult& components,
-    AvailabilityReport& out) {
-  replica_components_.clear();
-  for (topo::NodeId n : replica_nodes_) {
-    replica_components_.push_back(component_of(n, cable_dead, components));
-  }
-
+void ServiceEvaluator::evaluate(std::span<const std::uint32_t> component_label,
+                                AvailabilityReport& out) const {
   out.service = spec_.name;
   out.per_continent.clear();
   out.read_availability = 0.0;
@@ -104,12 +78,13 @@ void ServiceEvaluator::evaluate_with_components(
   for (const auto& [continent, anchor_node] : anchor_nodes_) {
     ContinentAvailability avail;
     avail.continent = continent;
-    const std::uint32_t client =
-        component_of(anchor_node, cable_dead, components);
-    if (client != graph::ComponentResult::kNoComponent) {
+    if (anchor_node != topo::kInvalidNode) {
+      const std::uint32_t client = component_label[anchor_node];
       std::size_t reachable = 0;
-      for (std::uint32_t rc : replica_components_) {
-        if (rc == client) ++reachable;
+      for (const topo::NodeId r : replica_nodes_) {
+        if (r != topo::kInvalidNode && component_label[r] == client) {
+          ++reachable;
+        }
       }
       avail.read_available = reachable >= 1;
       // Replicas reachable from the client are in the same component, so
@@ -157,26 +132,38 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
 
 AvailabilityObserver::AvailabilityObserver(
     const topo::InfrastructureNetwork& net, ServiceSpec spec)
-    : prototype_(net, std::move(spec)) {}
+    : evaluator_(net, std::move(spec)) {}
 
 void AvailabilityObserver::begin_run(const sim::TrialPipeline& /*pipeline*/,
                                      std::size_t workers, std::size_t chunks) {
-  // Fill-construct (ServiceEvaluator is copyable but not assignable).
-  workers_ = std::vector<ServiceEvaluator>(workers, prototype_);
   reports_.assign(workers, {});
   chunks_.assign(chunks, {});
   result_ = {};
-  result_.service = prototype_.spec().name;
+  result_.service = evaluator_.spec().name;
+}
+
+void AvailabilityObserver::record(
+    std::span<const std::uint32_t> component_label, std::size_t worker,
+    std::size_t chunk) {
+  AvailabilityReport& report = reports_[worker];
+  evaluator_.evaluate(component_label, report);
+  Chunk& slot = chunks_[chunk];
+  slot.read.add(report.read_availability);
+  slot.write.add(report.write_availability);
 }
 
 void AvailabilityObserver::observe(const sim::TrialView& view,
                                    std::size_t worker, std::size_t chunk) {
-  AvailabilityReport& report = reports_[worker];
-  workers_[worker].evaluate_with_components(*view.cable_dead, *view.components,
-                                            report);
-  Chunk& slot = chunks_[chunk];
-  slot.read.add(report.read_availability);
-  slot.write.add(report.write_availability);
+  record(view.components->component, worker, chunk);
+}
+
+void AvailabilityObserver::observe_batch(const sim::BatchTrialView& view,
+                                         std::size_t worker,
+                                         std::size_t first_chunk) {
+  for (unsigned lane = 0; lane < view.lanes; ++lane) {
+    record(view.labels(lane), worker,
+           first_chunk + lane / sim::TrialPipeline::kTrialChunk);
+  }
 }
 
 void AvailabilityObserver::save_chunk(std::size_t chunk,
@@ -202,7 +189,6 @@ void AvailabilityObserver::end_run() {
     result_.write_availability.merge(slot.write);
   }
   result_.draws = result_.read_availability.count();
-  workers_.clear();
   reports_.clear();
   chunks_.clear();
 }

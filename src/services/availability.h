@@ -12,10 +12,14 @@
 // (network, spec) and then answers per-draw queries allocation-free over
 // the network's cached CSR. The Monte-Carlo path is AvailabilityObserver on
 // a sim::TrialPipeline (availability_sweep is that run with one observer),
-// which evaluates every draw against the pipeline's shared component
-// decomposition. Every tier takes the draw as a util::Bitset dead set.
+// which evaluates every draw against the pipeline's shared per-node
+// component labels: the scalar trial's ComponentResult::component, or one
+// lane's label row on the 64-lane batch path. One evaluation body serves
+// both; the one-shot tiers take the draw as a util::Bitset dead set.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,12 +65,16 @@ struct AvailabilityReport {
 const std::vector<std::pair<geo::Continent, double>>&
 continent_population_shares();
 
+// The client anchor of each continent: a representative populous coastal
+// location, attached to the network like every replica. One row per
+// continent_population_shares() continent.
+const std::vector<std::pair<geo::Continent, geo::GeoPoint>>&
+continent_anchors();
+
 // Pre-resolved evaluator for one (network, service) pair. Construction
 // attaches every replica and anchor through the network's
-// topo::AttachmentIndex once;
-// evaluate() then costs one masked component decomposition plus O(1)
-// lookups per party, reusing all scratch. Copyable — the parallel sweep
-// hands each worker its own copy. The network must outlive the evaluator.
+// topo::AttachmentIndex once; a draw then costs O(1) label lookups per
+// party. Copyable; the network must outlive the evaluator.
 class ServiceEvaluator {
  public:
   // Throws std::invalid_argument on an empty replica set or a quorum
@@ -75,34 +83,34 @@ class ServiceEvaluator {
 
   const ServiceSpec& spec() const noexcept { return spec_; }
 
-  // Evaluates one failure draw into `out`, reusing its storage.
-  // Allocation-free once warm.
+  // Evaluates one draw from per-node component labels of the masked
+  // network (all nodes alive, dead cables' edges removed): two parties
+  // communicate iff their landing nodes carry equal labels. Any labelling
+  // with that relation gives the same report — the pipeline passes
+  // ComponentResult::component on the scalar path and a lane's
+  // BatchTrialView::labels() row on the batch path. A node whose cables
+  // all died is a singleton component, so only parties attached to that
+  // same dark station still match it; an unattached party
+  // (topo::kInvalidNode) matches nobody. Allocation-free once `out` is
+  // warm.
+  void evaluate(std::span<const std::uint32_t> component_label,
+                AvailabilityReport& out) const;
+
+  // One-shot form: builds the draw's mask and components, then evaluates
+  // as above. Allocation-free once warm.
   void evaluate(const util::Bitset& cable_dead, AvailabilityReport& out);
   AvailabilityReport evaluate(const util::Bitset& cable_dead);
 
-  // Same evaluation against a caller-provided component decomposition of
-  // the masked subgraph (must come from the same network and the same
-  // cable_dead mask — the trial pipeline's per-trial decomposition). Skips
-  // the internal mask + component build, so N services under one draw share
-  // one decomposition. Produces bit-identical reports to evaluate().
-  void evaluate_with_components(const util::Bitset& cable_dead,
-                                const graph::ComponentResult& components,
-                                AvailabilityReport& out);
-
  private:
-  std::uint32_t component_of(topo::NodeId n, const util::Bitset& cable_dead,
-                             const graph::ComponentResult& components) const;
-
   const topo::InfrastructureNetwork& net_;
   const graph::Csr* csr_;  // net_'s cached CSR, resolved once at construction
   ServiceSpec spec_;
   std::vector<topo::NodeId> replica_nodes_;
   std::vector<std::pair<geo::Continent, topo::NodeId>> anchor_nodes_;
-  // Per-draw scratch.
+  // Scratch of the one-shot form.
   graph::AliveMask mask_;
   graph::ComponentScratch comp_scratch_;
   graph::ComponentResult cc_;
-  std::vector<std::uint32_t> replica_components_;
 };
 
 // Evaluates one service against a failure draw. Every replica and client
@@ -136,19 +144,20 @@ AvailabilitySweep availability_sweep(const sim::FailureSimulator& simulator,
                                      std::size_t threads = 0);
 
 // Trial-pipeline observer for one service: evaluates every trial's draw
-// against the pipeline's shared component decomposition (no per-service
+// against the pipeline's shared component labels (no per-service
 // mask/component rebuild) and accumulates read/write availability with the
-// fixed-chunk reduction. Its result is bit-identical for every thread
-// count, and it shares the failure draw with every other observer on the
-// same pipeline. Construction resolves the replica/anchor
-// nodes once; begin_run hands each worker a copy of the resolved evaluator.
+// fixed-chunk reduction. Batch-capable: on the 64-lane path it reads each
+// lane's label row, with the same evaluation body, so its result is
+// bit-identical for every engine and thread count, and it shares the
+// failure draw with every other observer on the same pipeline.
+// Construction resolves the replica/anchor nodes once.
 class AvailabilityObserver final : public sim::CheckpointableObserver {
  public:
   // Throws like ServiceEvaluator on a bad spec.
   AvailabilityObserver(const topo::InfrastructureNetwork& net,
                        ServiceSpec spec);
 
-  const ServiceSpec& spec() const noexcept { return prototype_.spec(); }
+  const ServiceSpec& spec() const noexcept { return evaluator_.spec(); }
   // Valid after TrialPipeline::run().
   const AvailabilitySweep& result() const noexcept { return result_; }
 
@@ -157,12 +166,15 @@ class AvailabilityObserver final : public sim::CheckpointableObserver {
                  std::size_t chunks) override;
   void observe(const sim::TrialView& view, std::size_t worker,
                std::size_t chunk) override;
+  bool supports_batch() const override { return true; }
+  void observe_batch(const sim::BatchTrialView& view, std::size_t worker,
+                     std::size_t first_chunk) override;
   void end_run() override;
 
   // The id carries the service name: a checkpoint written for one service
   // is rejected for another even with identical chunk counts.
   std::string checkpoint_id() const override {
-    return "availability/v1/" + prototype_.spec().name;
+    return "availability/v1/" + evaluator_.spec().name;
   }
   void save_chunk(std::size_t chunk, util::ByteWriter& out) const override;
   void load_chunk(std::size_t chunk, util::ByteReader& in) override;
@@ -172,8 +184,12 @@ class AvailabilityObserver final : public sim::CheckpointableObserver {
     util::RunningStats read;
     util::RunningStats write;
   };
-  ServiceEvaluator prototype_;
-  std::vector<ServiceEvaluator> workers_;
+  // One trial: evaluate against `component_label` into the worker's report
+  // and accumulate into `chunk`'s slot.
+  void record(std::span<const std::uint32_t> component_label,
+              std::size_t worker, std::size_t chunk);
+
+  ServiceEvaluator evaluator_;
   std::vector<AvailabilityReport> reports_;  // per-worker scratch
   std::vector<Chunk> chunks_;
   AvailabilitySweep result_;

@@ -1,6 +1,7 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "util/checkpoint.h"
@@ -26,8 +27,12 @@ void TrialPipeline::add_observer(TrialObserver& observer) {
   needs_components_ = needs_components_ || observer.needs_components();
   if (observer.supports_batch()) {
     batch_observers_.push_back(&observer);
-    batch_needs_components_ =
-        batch_needs_components_ || observer.needs_components();
+    // Labels come out of the component pass, so reading them implies it.
+    batch_needs_labels_ =
+        batch_needs_labels_ || observer.needs_component_labels();
+    batch_needs_components_ = batch_needs_components_ ||
+                              observer.needs_components() ||
+                              batch_needs_labels_;
   } else {
     scalar_observers_.push_back(&observer);
     scalar_needs_components_ =
@@ -111,96 +116,103 @@ void TrialPipeline::run_batched(std::size_t trials, const util::Rng& base,
   // order — the determinism contract holds unchanged.
   static_assert(TrialBatchKernel::kLanes % TrialPipeline::kTrialChunk == 0);
   constexpr std::size_t kLanes = TrialBatchKernel::kLanes;
-  constexpr std::size_t kChunksPerBatch = kLanes / kTrialChunk;
-  const TrialBatchKernel& kernel = *batch_kernel_;
   const std::size_t tasks = (trials + kLanes - 1) / kLanes;
   workers = std::min(workers, tasks);
-
-  struct BatchScratch {
-    TrialBatch batch;
-    std::uint32_t cables[kLanes];
-    std::uint32_t nodes[kLanes];
-    std::uint32_t largest[kLanes];
-    double cables_pct[kLanes];
-    double nodes_pct[kLanes];
-    BatchConnectivityScratch components;
-    // Scalar reconstruction for observers without a batch path.
-    PipelineScratch scalar;
-  };
-  std::vector<BatchScratch> scratch(workers);
-  const std::size_t cables = network().cable_count();
-
+  std::vector<PipelineBatchScratch> scratch(workers);
   util::parallel_for(tasks, workers, [&](std::size_t task, std::size_t worker) {
-    BatchScratch& s = scratch[worker];
     const std::size_t first = task * kLanes;
     const auto lanes =
         static_cast<unsigned>(std::min<std::size_t>(kLanes, trials - first));
-    const std::size_t first_chunk = task * kChunksPerBatch;
-
-    kernel.sample(base, first, lanes, s.batch);
-    kernel.count_cables_failed(s.batch, s.cables);
-    kernel.count_unreachable_nodes(s.batch, s.nodes);
-    if (batch_needs_components_) {
-      kernel.largest_components(s.batch, s.components, s.largest);
-    }
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      s.cables_pct[lane] =
-          cables > 0 ? 100.0 * static_cast<double>(s.cables[lane]) /
-                           static_cast<double>(cables)
-                     : 0.0;
-      s.nodes_pct[lane] =
-          connected_nodes_ > 0
-              ? 100.0 * static_cast<double>(s.nodes[lane]) /
-                    static_cast<double>(connected_nodes_)
-              : 0.0;
-    }
-
-    if (!batch_observers_.empty()) {
-      BatchTrialView bview;
-      bview.first_trial = first;
-      bview.lanes = lanes;
-      bview.batch = &s.batch;
-      bview.cables_failed = s.cables;
-      bview.cables_failed_pct = s.cables_pct;
-      bview.nodes_unreachable = s.nodes;
-      bview.nodes_unreachable_pct = s.nodes_pct;
-      bview.largest_component = batch_needs_components_ ? s.largest : nullptr;
-      for (TrialObserver* observer : batch_observers_) {
-        observer->observe_batch(bview, worker, first_chunk);
-      }
-    }
-
-    if (!scalar_observers_.empty()) {
-      // Reconstruct each lane as a scalar TrialView: same dead bits, same
-      // unreachable list, same component decomposition, and the lane's
-      // post-draw rng state — everything a scalar observer would have seen.
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        kernel.extract_lane(s.batch, lane, s.scalar.cable_dead);
-        network().unreachable_nodes(s.scalar.cable_dead, s.scalar.unreachable);
-        if (scalar_needs_components_) {
-          network().mask_for_failures(s.scalar.cable_dead, s.scalar.mask);
-          graph::connected_components(*csr_, s.scalar.mask,
-                                      s.scalar.component_scratch,
-                                      s.scalar.components);
-        }
-        TrialView view;
-        view.trial = first + lane;
-        view.cable_dead = &s.scalar.cable_dead;
-        view.cables_failed = s.cables[lane];
-        view.cables_failed_pct = s.cables_pct[lane];
-        view.unreachable = &s.scalar.unreachable;
-        view.nodes_unreachable_pct = s.nodes_pct[lane];
-        view.components =
-            scalar_needs_components_ ? &s.scalar.components : nullptr;
-        view.mask = scalar_needs_components_ ? &s.scalar.mask : nullptr;
-        view.rng = &s.batch.lane_rng[lane];
-        const std::size_t chunk = first_chunk + lane / kTrialChunk;
-        for (TrialObserver* observer : scalar_observers_) {
-          observer->observe(view, worker, chunk);
-        }
-      }
-    }
+    run_batch(first, lanes, base, scratch[worker], worker);
   });
+}
+
+void TrialPipeline::run_batch(std::size_t first_trial, unsigned lanes,
+                              const util::Rng& base, PipelineBatchScratch& s,
+                              std::size_t worker) const {
+  constexpr std::size_t kLanes = TrialBatchKernel::kLanes;
+  if (batch_kernel_ == nullptr) {
+    throw std::logic_error(
+        "TrialPipeline::run_batch: the scalar engine builds no batch kernel");
+  }
+  if (first_trial % kLanes != 0) {
+    throw std::invalid_argument(
+        "TrialPipeline::run_batch: first_trial is not a batch boundary");
+  }
+  const TrialBatchKernel& kernel = *batch_kernel_;
+  const std::size_t first_chunk = first_trial / kTrialChunk;
+  const std::size_t cables = network().cable_count();
+
+  kernel.sample(base, first_trial, lanes, s.batch);
+  kernel.count_cables_failed(s.batch, s.cables);
+  kernel.count_unreachable_nodes(s.batch, s.nodes);
+  const std::size_t node_count = network().node_count();
+  if (batch_needs_components_) {
+    if (batch_needs_labels_) s.labels.resize(lanes * node_count);
+    kernel.largest_components(s.batch, s.components, s.largest,
+                              batch_needs_labels_ ? s.labels.data() : nullptr);
+  }
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    s.cables_pct[lane] =
+        cables > 0 ? 100.0 * static_cast<double>(s.cables[lane]) /
+                         static_cast<double>(cables)
+                   : 0.0;
+    s.nodes_pct[lane] =
+        connected_nodes_ > 0
+            ? 100.0 * static_cast<double>(s.nodes[lane]) /
+                  static_cast<double>(connected_nodes_)
+            : 0.0;
+  }
+
+  if (!batch_observers_.empty()) {
+    BatchTrialView bview;
+    bview.first_trial = first_trial;
+    bview.lanes = lanes;
+    bview.batch = &s.batch;
+    bview.cables_failed = s.cables;
+    bview.cables_failed_pct = s.cables_pct;
+    bview.nodes_unreachable = s.nodes;
+    bview.nodes_unreachable_pct = s.nodes_pct;
+    bview.largest_component = batch_needs_components_ ? s.largest : nullptr;
+    if (batch_needs_labels_) {
+      bview.component_labels = s.labels.data();
+      bview.node_count = node_count;
+    }
+    for (TrialObserver* observer : batch_observers_) {
+      observer->observe_batch(bview, worker, first_chunk);
+    }
+  }
+
+  if (!scalar_observers_.empty()) {
+    // Reconstruct each lane as a scalar TrialView: same dead bits, same
+    // unreachable list, same component decomposition, and the lane's
+    // post-draw rng state — everything a scalar observer would have seen.
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      kernel.extract_lane(s.batch, lane, s.scalar.cable_dead);
+      network().unreachable_nodes(s.scalar.cable_dead, s.scalar.unreachable);
+      if (scalar_needs_components_) {
+        network().mask_for_failures(s.scalar.cable_dead, s.scalar.mask);
+        graph::connected_components(*csr_, s.scalar.mask,
+                                    s.scalar.component_scratch,
+                                    s.scalar.components);
+      }
+      TrialView view;
+      view.trial = first_trial + lane;
+      view.cable_dead = &s.scalar.cable_dead;
+      view.cables_failed = s.cables[lane];
+      view.cables_failed_pct = s.cables_pct[lane];
+      view.unreachable = &s.scalar.unreachable;
+      view.nodes_unreachable_pct = s.nodes_pct[lane];
+      view.components =
+          scalar_needs_components_ ? &s.scalar.components : nullptr;
+      view.mask = scalar_needs_components_ ? &s.scalar.mask : nullptr;
+      view.rng = &s.batch.lane_rng[lane];
+      const std::size_t chunk = first_chunk + lane / kTrialChunk;
+      for (TrialObserver* observer : scalar_observers_) {
+        observer->observe(view, worker, chunk);
+      }
+    }
+  }
 }
 
 void check_chunk_slot(const char* observer, const char* operation,

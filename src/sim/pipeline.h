@@ -29,7 +29,14 @@
 //    and services::availability_sweep (one service) are pipeline runs with
 //    one observer each. The pipeline builds components only when an
 //    observer asks for them, so a cables/nodes-only run costs the draw and
-//    the two count kernels.
+//    the two count kernels. Unless TrialConfig::engine is kScalar it runs
+//    64 trials per batch (TrialBatchKernel); the report's observers
+//    (ConnectivityObserver, services::AvailabilityObserver,
+//    analysis::DnsResolutionObserver, analysis::CountryIsolationObserver)
+//    take whole batches, reading lane counts, the shared union-find's
+//    per-lane component labels (written only when an observer reads them)
+//    or the dead words; any other observer gets each lane rebuilt as a
+//    scalar TrialView.
 //  - sim::SweepEngine: one metric across a whole severity grid (CRN-coupled
 //    axis, incremental connectivity) — the figure-sweep path.
 //  - sim::TimelineEngine: the same draw played over storm and repair time.
@@ -37,6 +44,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +114,19 @@ struct BatchTrialView {
   // Largest surviving component size per lane; null when no batch-capable
   // observer reports needs_components().
   const std::uint32_t* largest_component = nullptr;
+  // Per-lane component labels over the network's nodes, lane-major: lane
+  // t's row is component_labels + t * node_count. Within a lane two nodes share
+  // a label iff they share a surviving component (the relation
+  // TrialView::components->component encodes); the values are arbitrary
+  // node ids. Null unless a batch-capable observer reports
+  // needs_component_labels().
+  const std::uint32_t* component_labels = nullptr;
+  std::size_t node_count = 0;
+
+  std::span<const std::uint32_t> labels(unsigned lane) const {
+    return {component_labels + static_cast<std::size_t>(lane) * node_count,
+            node_count};
+  }
 };
 
 // A metric registered with the pipeline. Implementations own their results;
@@ -143,6 +164,13 @@ class TrialObserver {
   virtual void observe_batch(const BatchTrialView& /*view*/,
                              std::size_t /*worker*/,
                              std::size_t /*first_chunk*/) {}
+  // Whether observe_batch() reads BatchTrialView::component_labels. The
+  // batch path writes labels (lanes x nodes words per batch) only when some
+  // batch-capable observer says so. The default follows needs_components(),
+  // so a label reader stays correct behind a forwarding wrapper that
+  // forwards only needs_components(); an observer that reads just the
+  // largest component overrides this to false.
+  virtual bool needs_component_labels() const { return needs_components(); }
 
   // Called once after all trials, on the run() thread: reduce the chunk
   // slots (in ascending chunk order) into the final result.
@@ -179,6 +207,21 @@ struct PipelineScratch {
   graph::ComponentScratch component_scratch;
   graph::ComponentResult components;
   std::vector<topo::NodeId> unreachable;
+};
+
+// Reusable per-worker scratch for the bit-parallel loop; allocation-free
+// once warm, label rows included.
+struct PipelineBatchScratch {
+  TrialBatch batch;
+  std::uint32_t cables[TrialBatchKernel::kLanes];
+  std::uint32_t nodes[TrialBatchKernel::kLanes];
+  std::uint32_t largest[TrialBatchKernel::kLanes];
+  double cables_pct[TrialBatchKernel::kLanes];
+  double nodes_pct[TrialBatchKernel::kLanes];
+  BatchConnectivityScratch components;
+  std::vector<std::uint32_t> labels;  // lanes x nodes, when read
+  // Per-lane scalar reconstruction for observers without a batch path.
+  PipelineScratch scalar;
 };
 
 class TrialPipeline {
@@ -222,12 +265,22 @@ class TrialPipeline {
                  PipelineScratch& scratch, std::size_t worker,
                  std::size_t chunk) const;
 
+  // One batch of the bit-parallel loop, the batch counterpart of
+  // run_trial(): trials [first_trial, first_trial + lanes) drawn into
+  // `scratch`, batch-capable observers fed one BatchTrialView, the rest fed
+  // per-lane TrialViews reconstructed from the batch (bit-identical to the
+  // scalar loop either way). first_trial must be a multiple of
+  // TrialBatchKernel::kLanes (the batch then starts chunk
+  // first_trial / kTrialChunk) and lanes in [1, kLanes]. Throws
+  // std::logic_error when the simulator's TrialConfig::engine is kScalar
+  // (no batch kernel is built). Allocation-free once scratch is warm.
+  void run_batch(std::size_t first_trial, unsigned lanes,
+                 const util::Rng& base, PipelineBatchScratch& scratch,
+                 std::size_t worker) const;
+
  private:
-  // The bit-parallel trial loop: batches of TrialBatchKernel::kLanes trials,
-  // batch-capable observers fed whole batches, the rest fed per-lane
-  // TrialViews reconstructed from the batch (bit-identical to the scalar
-  // loop either way). Chosen by run() unless the simulator's
-  // TrialConfig::engine is kScalar.
+  // The bit-parallel trial loop: run_batch() over consecutive batches.
+  // Chosen by run() unless the simulator's TrialConfig::engine is kScalar.
   void run_batched(std::size_t trials, const util::Rng& base,
                    std::size_t workers) const;
 
@@ -244,6 +297,7 @@ class TrialPipeline {
   std::vector<TrialObserver*> batch_observers_;   // supports_batch()
   std::vector<TrialObserver*> scalar_observers_;  // the rest
   bool batch_needs_components_ = false;   // any batch observer needs them
+  bool batch_needs_labels_ = false;       // any batch observer reads labels
   bool scalar_needs_components_ = false;  // any scalar observer needs them
 };
 
@@ -281,6 +335,8 @@ class ConnectivityObserver final : public CheckpointableObserver {
   bool supports_batch() const override { return true; }
   void observe_batch(const BatchTrialView& view, std::size_t worker,
                      std::size_t first_chunk) override;
+  // Reads only the largest component, never the labels.
+  bool needs_component_labels() const override { return false; }
   void end_run() override;
 
   std::string checkpoint_id() const override { return "connectivity/v1"; }

@@ -150,13 +150,14 @@ void TrialBatchKernel::count_unreachable_nodes(const TrialBatch& batch,
 
 void TrialBatchKernel::largest_components(const TrialBatch& batch,
                                           BatchConnectivityScratch& scratch,
-                                          std::uint32_t* out) const {
+                                          std::uint32_t* out,
+                                          std::uint32_t* labels) const {
   scratch.edge_dead.resize(edge_cable_.size());
   for (std::size_t e = 0; e < edge_cable_.size(); ++e) {
     scratch.edge_dead[e] = batch.cable_dead[edge_cable_[e]];
   }
   graph::batch_largest_components(*csr_, scratch.edge_dead, batch.lanes,
-                                  scratch.components, out);
+                                  scratch.components, out, labels);
 }
 
 void TrialBatchKernel::extract_lane(const TrialBatch& batch, unsigned lane,

@@ -85,10 +85,14 @@ class TrialBatchKernel {
   void count_unreachable_nodes(const TrialBatch& batch,
                                std::uint32_t* out) const;
   // Largest surviving component per lane (all vertices alive, edges of
-  // dead cables removed) via the shared-backbone batch union-find.
+  // dead cables removed) via the shared-backbone batch union-find. With
+  // `labels` non-null (room for batch.lanes * network node count entries)
+  // the same pass writes each lane's per-node component labels, row by row
+  // (graph::batch_largest_components' label contract).
   void largest_components(const TrialBatch& batch,
                           BatchConnectivityScratch& scratch,
-                          std::uint32_t* out) const;
+                          std::uint32_t* out,
+                          std::uint32_t* labels = nullptr) const;
 
   // Reconstructs lane `lane` as a scalar dead set, bit-identical to the
   // Bitset the scalar sampler fills for the same trial. Allocation-free

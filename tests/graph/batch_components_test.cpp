@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -71,6 +72,67 @@ TEST(BatchComponents, MatchesScalarKernelLaneByLane) {
         EXPECT_EQ(largest[t], scalar_largest(g, csr, edge_dead, t))
             << shape.vertices << "v/" << shape.edges << "e lane " << t
             << " of " << lanes;
+      }
+    }
+  }
+}
+
+// The scalar decomposition of one lane (all vertices alive).
+ComponentResult scalar_components(const Graph& g, const Csr& csr,
+                                  const std::vector<std::uint64_t>& edge_dead,
+                                  unsigned lane) {
+  AliveMask mask = AliveMask::all_alive(g);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    if ((edge_dead[e] >> lane) & 1) mask.edge_alive.reset(e);
+  }
+  ComponentScratch scratch;
+  ComponentResult result;
+  connected_components(csr, mask, scratch, result);
+  return result;
+}
+
+// Labels encode the same partition as the scalar dense indices iff the
+// label -> component and component -> label maps are both functions.
+void expect_same_partition(const std::uint32_t* labels,
+                           const ComponentResult& scalar, std::size_t n,
+                           const char* where) {
+  std::map<std::uint32_t, std::uint32_t> label_to_component;
+  std::map<std::uint32_t, std::uint32_t> component_to_label;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto a =
+        label_to_component.emplace(labels[v], scalar.component[v]).first;
+    const auto b =
+        component_to_label.emplace(scalar.component[v], labels[v]).first;
+    EXPECT_EQ(a->second, scalar.component[v]) << where << " vertex " << v;
+    EXPECT_EQ(b->second, labels[v]) << where << " vertex " << v;
+    EXPECT_LT(labels[v], n) << where << ": labels are vertex ids";
+  }
+}
+
+TEST(BatchComponents, LabelsMatchScalarPartitionForEveryLaneCount) {
+  util::Rng rng(515);
+  for (const std::size_t vertices : {1u, 9u, 57u, 140u}) {
+    const Graph g = random_graph(rng, vertices, vertices * 3 / 2 + 1);
+    const Csr csr(g);
+    for (unsigned lanes = 1; lanes <= kBatchLanes; ++lanes) {
+      std::vector<std::uint64_t> edge_dead(g.edge_count());
+      for (auto& w : edge_dead) {
+        const double kind = rng.uniform();
+        w = kind < 0.3 ? 0 : rng.next_u64() & rng.next_u64();
+      }
+      BatchComponentScratch scratch;
+      std::uint32_t largest[kBatchLanes] = {};
+      std::vector<std::uint32_t> labels(lanes * vertices, ~std::uint32_t{0});
+      batch_largest_components(csr, edge_dead, lanes, scratch, largest,
+                               labels.data());
+      std::uint32_t plain[kBatchLanes] = {};
+      batch_largest_components(csr, edge_dead, lanes, scratch, plain);
+      for (unsigned t = 0; t < lanes; ++t) {
+        const ComponentResult scalar = scalar_components(g, csr, edge_dead, t);
+        expect_same_partition(labels.data() + t * vertices, scalar, vertices,
+                              "labels");
+        EXPECT_EQ(largest[t], scalar.largest_component_size());
+        EXPECT_EQ(largest[t], plain[t]) << "labels changed the sizes";
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include "datasets/datacenters.h"
 #include "datasets/submarine.h"
+#include "graph/components.h"
 #include "sim/monte_carlo.h"
 
 namespace solarnet::services {
@@ -163,6 +164,85 @@ TEST_F(ServiceTest, EvaluatorMatchesOneShotApi) {
       EXPECT_EQ(got.per_continent[i].write_available,
                 ref.per_continent[i].write_available);
     }
+  }
+}
+
+// A landing station whose cables all died is a singleton component of the
+// masked network, so it needs no special island rule: parties attached to
+// that same dark station still reach each other, and two different dark
+// stations never do.
+TEST_F(ServiceTest, DarkStationsAreSingletonIslands) {
+  util::Bitset dead = none();
+  dead.set(atl_);  // NY dark
+  dead.set(oc_);   // Sydney dark; Bude - Singapore stays lit
+  ServiceSpec ny_only;
+  ny_only.name = "ny";
+  ny_only.replicas = {{40.7, -74.0}};
+  ServiceSpec sydney_only;
+  sydney_only.name = "sydney";
+  sydney_only.replicas = {{-33.9, 151.2}};
+  const AvailabilityReport ny = evaluate_service(net_, dead, ny_only);
+  const AvailabilityReport syd = evaluate_service(net_, dead, sydney_only);
+  ASSERT_EQ(ny.per_continent.size(), syd.per_continent.size());
+  for (std::size_t i = 0; i < ny.per_continent.size(); ++i) {
+    const geo::Continent c = ny.per_continent[i].continent;
+    // The New York anchor attaches to the dark NY station itself.
+    EXPECT_EQ(ny.per_continent[i].read_available,
+              c == geo::Continent::kNorthAmerica ||
+                  c == geo::Continent::kSouthAmerica)
+        << geo::to_string(c);
+    // Sydney's anchor shares only Sydney's dark station, never NY's.
+    EXPECT_EQ(syd.per_continent[i].read_available,
+              c == geo::Continent::kOceania)
+        << geo::to_string(c);
+  }
+}
+
+// Any labelling with the same-component relation gives the same report:
+// the evaluator compares labels, never their values.
+TEST_F(ServiceTest, LabelValuesAreArbitrary) {
+  ServiceSpec svc;
+  svc.name = "global-db";
+  svc.replicas = {{40.7, -74.0}, {1.35, 103.8}, {-33.9, 151.2}};
+  svc.write_quorum = 2;
+  const ServiceEvaluator evaluator(net_, svc);
+  for (const topo::CableId cut : {atl_, asia_, oc_}) {
+    util::Bitset dead = none();
+    dead.set(cut);
+    graph::ComponentScratch scratch;
+    graph::ComponentResult cc;
+    graph::connected_components(net_.csr(), net_.mask_for_failures(dead),
+                                scratch, cc);
+    std::vector<std::uint32_t> relabelled;
+    for (const std::uint32_t c : cc.component) {
+      relabelled.push_back(1000 - 7 * c);
+    }
+    AvailabilityReport from_dense;
+    AvailabilityReport from_relabelled;
+    evaluator.evaluate(cc.component, from_dense);
+    evaluator.evaluate(relabelled, from_relabelled);
+    EXPECT_EQ(from_dense.read_availability, from_relabelled.read_availability);
+    EXPECT_EQ(from_dense.write_availability,
+              from_relabelled.write_availability);
+  }
+}
+
+// With no cable anywhere nothing attaches: replicas and anchors are all
+// topo::kInvalidNode, and an unattached replica must never match an
+// (equally unattached) client.
+TEST(ServiceUnattached, InvalidReplicaNeverMatchesClient) {
+  topo::InfrastructureNetwork net("dark");
+  net.add_node({"NY", {40.7, -74.0}, "US", topo::NodeKind::kLandingPoint,
+                true});
+  ServiceSpec svc;
+  svc.name = "nowhere";
+  svc.replicas = {{40.7, -74.0}};
+  const AvailabilityReport r =
+      evaluate_service(net, util::Bitset(net.cable_count()), svc);
+  EXPECT_EQ(r.read_availability, 0.0);
+  EXPECT_EQ(r.write_availability, 0.0);
+  for (const ContinentAvailability& c : r.per_continent) {
+    EXPECT_FALSE(c.read_available) << geo::to_string(c.continent);
   }
 }
 

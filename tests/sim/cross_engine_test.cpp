@@ -6,16 +6,33 @@
 // TimelineEngine must realize the same dead set and the same cables-failed
 // and unreachable-node counts. Percentages are compared bit for bit: every
 // engine applies the same formula to the same integers.
+//
+// CrossEngineObservers extends the oracle to the report's observers: the
+// five report observers (connectivity, Google and Facebook availability,
+// DNS resolution, country isolation) — batch-capable, reading the 64-lane
+// component labels and dead words — must produce bit-identical results on
+// the default engine and on TrialEngine::kScalar, for every thread count,
+// alone and alongside a scalar-only TrafficObserver.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/country.h"
+#include "analysis/dns_resolution.h"
+#include "datasets/datacenters.h"
+#include "datasets/infra_points.h"
 #include "datasets/submarine.h"
 #include "gic/efield.h"
 #include "gic/failure_model.h"
 #include "gic/storm.h"
 #include "gic/timeline.h"
+#include "routing/demand.h"
+#include "routing/traffic_observer.h"
+#include "services/availability.h"
 #include "sim/monte_carlo.h"
 #include "sim/pipeline.h"
 #include "sim/sweep.h"
@@ -204,6 +221,192 @@ TEST(CrossEngine, FractionHalfUniform) {
   config.rule = CableDeathRule::kFractionFails;
   config.death_fraction = 0.5;
   expect_engines_agree(config, gic::UniformFailureModel(0.3));
+}
+
+// --- the report's observers across engines -----------------------------------
+
+const std::vector<datasets::DnsRootInstance>& dns_roots() {
+  static const std::vector<datasets::DnsRootInstance> roots =
+      datasets::make_dns_dataset({});
+  return roots;
+}
+
+services::ServiceSpec datacenter_service(datasets::DataCenterOperator op) {
+  services::ServiceSpec spec;
+  spec.name = std::string(datasets::to_string(op));
+  for (const datasets::DataCenter& dc : datasets::datacenters_of(op)) {
+    spec.replicas.push_back(dc.location);
+  }
+  spec.write_quorum = 2;
+  return spec;
+}
+
+// One pipeline carrying the report's five observers (plus, optionally, a
+// scalar-only traffic observer) for one engine.
+class ReportRun {
+ public:
+  ReportRun(const topo::InfrastructureNetwork& net, const TrialConfig& config,
+            const gic::RepeaterFailureModel& model,
+            const routing::TrafficEngine* traffic)
+      : sim_(net, config),
+        pipeline_(sim_, model),
+        google_(net, datacenter_service(datasets::DataCenterOperator::kGoogle)),
+        facebook_(net,
+                  datacenter_service(datasets::DataCenterOperator::kFacebook)),
+        dns_(net, dns_roots(), 10.0),
+        isolation_(net, {"US", "GB", "CN", "IN", "SG", "ZA", "AU", "NZ",
+                         "BR"}) {
+    pipeline_.add_observer(connectivity_);
+    pipeline_.add_observer(google_);
+    pipeline_.add_observer(facebook_);
+    if (traffic != nullptr) {
+      traffic_.emplace(*traffic);
+      pipeline_.add_observer(*traffic_);  // between batch observers
+    }
+    pipeline_.add_observer(dns_);
+    pipeline_.add_observer(isolation_);
+  }
+
+  void run(std::size_t trials, std::uint64_t seed, std::size_t threads) {
+    pipeline_.run(trials, seed, threads);
+  }
+
+  // Every field of every observer's result, bit for bit.
+  void expect_equal(const ReportRun& ref, const std::string& where) const {
+    SCOPED_TRACE(where);
+    const ConnectivityObserver::Result& c = connectivity_.result();
+    const ConnectivityObserver::Result& rc = ref.connectivity_.result();
+    EXPECT_EQ(c.trials, rc.trials);
+    expect_stats_eq(c.cables_failed_pct, rc.cables_failed_pct);
+    expect_stats_eq(c.nodes_unreachable_pct, rc.nodes_unreachable_pct);
+    expect_stats_eq(c.largest_component_pct, rc.largest_component_pct);
+    for (const auto& [got, want] :
+         {std::pair{&google_, &ref.google_},
+          std::pair{&facebook_, &ref.facebook_}}) {
+      EXPECT_EQ(got->result().service, want->result().service);
+      EXPECT_EQ(got->result().draws, want->result().draws);
+      expect_stats_eq(got->result().read_availability,
+                      want->result().read_availability);
+      expect_stats_eq(got->result().write_availability,
+                      want->result().write_availability);
+    }
+    const analysis::DnsResolutionSweep& d = dns_.result();
+    const analysis::DnsResolutionSweep& rd = ref.dns_.result();
+    EXPECT_EQ(d.trials, rd.trials);
+    expect_stats_eq(d.resolution_availability, rd.resolution_availability);
+    expect_stats_eq(d.mean_letters_reachable, rd.mean_letters_reachable);
+    EXPECT_EQ(d.cable_loss_threshold_pct, rd.cable_loss_threshold_pct);
+    EXPECT_EQ(d.degraded_trials, rd.degraded_trials);
+    EXPECT_EQ(d.heavy_loss_trials, rd.heavy_loss_trials);
+    EXPECT_EQ(d.joint_trials, rd.joint_trials);
+    const auto& iso = isolation_.results();
+    const auto& riso = ref.isolation_.results();
+    ASSERT_EQ(iso.size(), riso.size());
+    for (std::size_t i = 0; i < iso.size(); ++i) {
+      EXPECT_EQ(iso[i].country, riso[i].country);
+      EXPECT_EQ(iso[i].international_cable_count,
+                riso[i].international_cable_count);
+      EXPECT_EQ(iso[i].trials, riso[i].trials);
+      EXPECT_EQ(iso[i].isolated_trials, riso[i].isolated_trials);
+      expect_stats_eq(iso[i].surviving_cables, riso[i].surviving_cables);
+    }
+    ASSERT_EQ(traffic_.has_value(), ref.traffic_.has_value());
+    if (traffic_) {
+      const routing::TrafficSweep& t = traffic_->result();
+      const routing::TrafficSweep& rt = ref.traffic_->result();
+      EXPECT_EQ(t.trials, rt.trials);
+      expect_stats_eq(t.delivered_fraction, rt.delivered_fraction);
+      expect_stats_eq(t.stranded_gbps, rt.stranded_gbps);
+      expect_stats_eq(t.max_utilization, rt.max_utilization);
+      expect_stats_eq(t.overloaded_cables, rt.overloaded_cables);
+      expect_stats_eq(t.mean_path_km, rt.mean_path_km);
+    }
+  }
+
+ private:
+  static void expect_stats_eq(const util::RunningStats& a,
+                              const util::RunningStats& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.sample_stddev(), b.sample_stddev());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+  }
+
+  FailureSimulator sim_;
+  TrialPipeline pipeline_;
+  ConnectivityObserver connectivity_;
+  services::AvailabilityObserver google_;
+  services::AvailabilityObserver facebook_;
+  analysis::DnsResolutionObserver dns_;
+  analysis::CountryIsolationObserver isolation_;
+  std::optional<routing::TrafficObserver> traffic_;
+};
+
+// The scalar engine on one thread is the reference; the default engine
+// must match it for every trial count (partial batches, a batch plus one
+// lane, several batches) and thread count.
+void expect_report_engines_agree(TrialConfig config,
+                                 const gic::RepeaterFailureModel& model,
+                                 const std::vector<std::size_t>& trial_counts,
+                                 const std::vector<std::size_t>& threads,
+                                 const routing::TrafficEngine* traffic) {
+  const topo::InfrastructureNetwork& net = submarine();
+  config.engine = TrialEngine::kScalar;
+  ReportRun scalar(net, config, model, traffic);
+  config.engine = TrialEngine::kAuto;
+  ReportRun batched(net, config, model, traffic);
+  for (const std::size_t trials : trial_counts) {
+    const std::uint64_t seed = kSeed + trials;
+    scalar.run(trials, seed, 1);
+    for (const std::size_t t : threads) {
+      batched.run(trials, seed, t);
+      batched.expect_equal(scalar, std::to_string(trials) + " trials, " +
+                                       std::to_string(t) + " threads");
+    }
+  }
+}
+
+const std::vector<std::size_t> kOracleTrials = {1, 31, 64, 65, 200};
+const std::vector<std::size_t> kOracleThreads = {1, 2, 4, 0};
+
+TEST(CrossEngineObservers, S1) {
+  expect_report_engines_agree({}, gic::LatitudeBandFailureModel::s1(),
+                              kOracleTrials, kOracleThreads, nullptr);
+}
+
+TEST(CrossEngineObservers, S2) {
+  expect_report_engines_agree({}, gic::LatitudeBandFailureModel::s2(),
+                              kOracleTrials, kOracleThreads, nullptr);
+}
+
+TEST(CrossEngineObservers, Uniform001) {
+  expect_report_engines_agree({}, gic::UniformFailureModel(0.01),
+                              kOracleTrials, kOracleThreads, nullptr);
+}
+
+TEST(CrossEngineObservers, FieldDrivenCarrington) {
+  const gic::FieldDrivenFailureModel carrington{
+      gic::GeoelectricFieldModel(gic::carrington_1859())};
+  expect_report_engines_agree({}, carrington, kOracleTrials, kOracleThreads,
+                              nullptr);
+}
+
+TEST(CrossEngineObservers, FractionHalfS1) {
+  TrialConfig config;
+  config.rule = CableDeathRule::kFractionFails;
+  config.death_fraction = 0.5;
+  expect_report_engines_agree(config, gic::LatitudeBandFailureModel::s1(),
+                              kOracleTrials, kOracleThreads, nullptr);
+}
+
+// A scalar-only observer in the set: the batch observers keep the 64-lane
+// path while the traffic observer gets per-lane reconstructed TrialViews.
+TEST(CrossEngineObservers, MixedWithTrafficObserver) {
+  const routing::TrafficEngine traffic(
+      submarine(), routing::sampled_node_demands(submarine(), 64, 40.0, 3));
+  expect_report_engines_agree({}, gic::LatitudeBandFailureModel::s1(),
+                              {1, 65}, {1, 2}, &traffic);
 }
 
 }  // namespace

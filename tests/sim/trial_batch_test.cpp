@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -308,6 +309,101 @@ TEST_F(TrialBatchTest, BatchedPipelineFeedsScalarObserversIdentically) {
                   scalar_conn.result().nodes_unreachable_pct);
   expect_stats_eq(batched_conn.result().largest_component_pct,
                   scalar_conn.result().largest_component_pct);
+}
+
+// A batch observer that records, per lane, whether labels arrived and which
+// pairs of nodes they put in one component.
+class LabelProbe final : public TrialObserver {
+ public:
+  LabelProbe(bool components, bool labels)
+      : components_(components), labels_(labels) {}
+  bool needs_components() const override { return components_; }
+  bool needs_component_labels() const override { return labels_; }
+  bool supports_batch() const override { return true; }
+  void begin_run(const TrialPipeline&, std::size_t, std::size_t) override {
+    same_.clear();
+    saw_labels_ = saw_largest_ = false;
+  }
+  void observe(const TrialView&, std::size_t, std::size_t) override {}
+  void observe_batch(const BatchTrialView& view, std::size_t,
+                     std::size_t) override {
+    saw_largest_ = saw_largest_ || view.largest_component != nullptr;
+    if (view.component_labels == nullptr) return;
+    saw_labels_ = true;
+    for (unsigned lane = 0; lane < view.lanes; ++lane) {
+      const std::span<const std::uint32_t> row = view.labels(lane);
+      std::vector<bool> same;
+      for (std::size_t a = 0; a < row.size(); ++a) {
+        for (std::size_t b = 0; b < row.size(); ++b) {
+          same.push_back(row[a] == row[b]);
+        }
+      }
+      same_.push_back(std::move(same));
+    }
+  }
+  void end_run() override {}
+
+  bool saw_labels_ = false;
+  bool saw_largest_ = false;
+  std::vector<std::vector<bool>> same_;  // per trial, node pair relation
+
+ private:
+  bool components_;
+  bool labels_;
+};
+
+TEST_F(TrialBatchTest, LabelsAreWrittenOnlyForLabelReaders) {
+  const auto model = gic::LatitudeBandFailureModel::s1();
+  TrialConfig cfg;
+  cfg.threads = 1;
+  const FailureSimulator simulator(net_, cfg);
+  constexpr std::size_t kTrials = 70;
+
+  // Largest component only (ConnectivityObserver's need): no labels.
+  {
+    TrialPipeline pipeline(simulator, model);
+    ConnectivityObserver connectivity;
+    LabelProbe probe(true, false);
+    pipeline.add_observer(connectivity);
+    pipeline.add_observer(probe);
+    pipeline.run(kTrials, 5);
+    EXPECT_TRUE(probe.saw_largest_);
+    EXPECT_FALSE(probe.saw_labels_);
+  }
+  // No components at all.
+  {
+    TrialPipeline pipeline(simulator, model);
+    LabelProbe probe(false, false);
+    pipeline.add_observer(probe);
+    pipeline.run(kTrials, 5);
+    EXPECT_FALSE(probe.saw_largest_);
+    EXPECT_FALSE(probe.saw_labels_);
+  }
+  // A label reader: lane rows give the scalar decomposition's relation.
+  TrialPipeline pipeline(simulator, model);
+  LabelProbe probe(true, true);
+  pipeline.add_observer(probe);
+  pipeline.run(kTrials, 5);
+  ASSERT_TRUE(probe.saw_labels_);
+  ASSERT_EQ(probe.same_.size(), kTrials);
+  const DeathProbabilityTable table = simulator.death_probability_table(model);
+  const util::Rng base(5);
+  util::Bitset dead;
+  graph::ComponentScratch scratch;
+  graph::ComponentResult cc;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    util::Rng rng = base.split(t);
+    simulator.sample_cable_failures(table, rng, dead);
+    graph::connected_components(net_.csr(), net_.mask_for_failures(dead),
+                                scratch, cc);
+    std::vector<bool> same;
+    for (std::size_t a = 0; a < net_.node_count(); ++a) {
+      for (std::size_t b = 0; b < net_.node_count(); ++b) {
+        same.push_back(cc.component[a] == cc.component[b]);
+      }
+    }
+    EXPECT_EQ(probe.same_[t], same) << "trial " << t;
+  }
 }
 
 TEST_F(TrialBatchTest, BatchedConnectivityThreadCountInvariant) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -368,9 +369,10 @@ class QuantileMonotoneTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QuantileMonotoneTest, MonotoneInQ) {
   std::vector<double> v;
-  int seed = GetParam();
+  // Unsigned: the LCG step wraps mod 2^32 by definition.
+  auto seed = static_cast<std::uint32_t>(GetParam());
   for (int i = 0; i < 50; ++i) {
-    seed = seed * 1103515245 + 12345;
+    seed = seed * 1103515245u + 12345u;
     v.push_back(static_cast<double>(seed % 1000));
   }
   std::sort(v.begin(), v.end());
