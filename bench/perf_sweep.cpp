@@ -15,6 +15,11 @@
 //      combined standard errors at 512 trials (different streams, same
 //      marginals), and exactly at the deterministic p = 1 endpoint,
 //   6. the steady-state per-trial loop performs ZERO heap allocations.
+//   7. the contracted resurrection walk (sim/incremental.h) reports the
+//      same aggregates as the full-vertex reference walk
+//      (bench/reference_walk.h) at every grid point of 4,000 trials' death
+//      indices, and is >= 1.5x faster per walk, timed in alternating
+//      rounds in this process.
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate. Then it times the old path (G independent run_trials)
 // against the engine on the paper-scale 470-cable submarine network across
@@ -29,6 +34,7 @@
 
 #include "analysis/connectivity.h"
 #include "bench_util.h"
+#include "reference_walk.h"
 #include "datasets/submarine.h"
 #include "gic/failure_model.h"
 #include "sim/monte_carlo.h"
@@ -301,6 +307,37 @@ void check_zero_steady_state_allocations() {
   }
 }
 
+// The walk gate: both walks over the same death-index arrays of the
+// paper grid, aggregates compared step by step, then timed.
+benchutil::WalkComparison check_walk_against_reference() {
+  const sim::SweepEngine& engine = default_engine();
+  constexpr std::size_t kAxes = 4000;
+  std::vector<benchutil::WalkAxis> axes(kAxes);
+  const util::Rng base(2023);
+  for (std::size_t t = 0; t < kAxes; ++t) {
+    util::Rng rng = base.split(t);
+    engine.sample_death_grid_indices(rng, axes[t].first_dead);
+    axes[t].steps = engine.grid_size();
+  }
+  const benchutil::WalkComparison walks =
+      benchutil::compare_walks(submarine(), axes, 21);
+  if (!walks.identical) {
+    fail("contracted walk aggregates differ from the reference walk");
+  }
+  std::printf("perf_sweep: walk over the %zu-point grid, %zu axes\n",
+              engine.grid_size(), kAxes);
+  std::printf("  reference walk (all nodes):     %8.3f us\n", walks.ref_us);
+  std::printf("  contracted walk (hubs):         %8.3f us\n", walks.walk_us);
+  std::printf("  walk speedup:                   %8.2fx\n", walks.speedup);
+  if (walks.speedup < 1.5) {
+    std::fprintf(stderr,
+                 "perf_sweep FAILED: walk speedup %.2fx below the 1.5x "
+                 "gate\n", walks.speedup);
+    std::exit(1);
+  }
+  return walks;
+}
+
 }  // namespace
 
 int main() {
@@ -310,6 +347,7 @@ int main() {
   check_thread_bit_identity();
   check_statistical_equivalence();
   check_zero_steady_state_allocations();
+  const benchutil::WalkComparison walks = check_walk_against_reference();
   std::printf("perf_sweep: all equivalence checks passed\n");
 
   // --- timing: the acceptance comparison ------------------------------------
@@ -359,7 +397,10 @@ int main() {
                 {"old_grid_sweep_ms", old_ms, "ms"},
                 {"new_grid_sweep_cold_ms", new_ms, "ms"},
                 {"new_grid_sweep_warm_ms", warm_ms, "ms"},
-                {"speedup_cold", speedup, "x"}});
+                {"speedup_cold", speedup, "x"},
+                {"walk_ref_us", walks.ref_us, "us"},
+                {"walk_us", walks.walk_us, "us"},
+                {"walk_speedup", walks.speedup, "x"}});
 
   if (speedup < 5.0) {
     std::fprintf(stderr,

@@ -10,7 +10,12 @@
 //      fleet schedule, then one unreachable_nodes + connected_components
 //      build per unified step) on the paper-scale 470-cable network,
 //   3. observer aggregates are bit-identical across thread counts,
-//   4. the steady-state playback loop performs ZERO heap allocations.
+//   4. the steady-state playback loop performs ZERO heap allocations,
+//   5. the contracted resurrection walk (sim/incremental.h) reports the
+//      same aggregates as the full-vertex reference walk
+//      (bench/reference_walk.h) on the storm and repair axes of 2,000
+//      playbacks, and is >= 1.5x faster per walk, timed in alternating
+//      rounds in this process.
 // Any failure exits non-zero, so CI's bench smoke job doubles as an
 // equivalence gate. Then it times the naive per-step full recompute
 // against playback on the 97-step default axis (73 storm steps at 1 h +
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "reference_walk.h"
 #include "datasets/submarine.h"
 #include "gic/failure_model.h"
 #include "gic/timeline.h"
@@ -354,6 +360,39 @@ void check_zero_steady_state_allocations() {
   }
 }
 
+// The walk gate: both walks over the storm and repair axes playback
+// builds, aggregates compared step by step, then timed.
+benchutil::WalkComparison check_walk_against_reference() {
+  const sim::TimelineEngine& engine = default_engine();
+  constexpr std::size_t kTrials = 2000;
+  std::vector<benchutil::WalkAxis> axes;
+  sim::TimelineScratch scratch;
+  const util::Rng base(2024);
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    util::Rng rng = base.split(t);
+    engine.playback(rng, scratch);
+    axes.push_back({scratch.fail_step, engine.storm_step_count()});
+    axes.push_back({scratch.reversed_first_dead, engine.repair_step_count()});
+  }
+  const benchutil::WalkComparison walks =
+      benchutil::compare_walks(submarine(), axes, 21);
+  if (!walks.identical) {
+    fail("contracted walk aggregates differ from the reference walk");
+  }
+  std::printf("perf_timeline: storm + repair walks, %zu axes\n",
+              axes.size());
+  std::printf("  reference walk (all nodes):     %8.3f us\n", walks.ref_us);
+  std::printf("  contracted walk (hubs):         %8.3f us\n", walks.walk_us);
+  std::printf("  walk speedup:                   %8.2fx\n", walks.speedup);
+  if (walks.speedup < 1.5) {
+    std::fprintf(stderr,
+                 "perf_timeline FAILED: walk speedup %.2fx below the 1.5x "
+                 "gate\n", walks.speedup);
+    std::exit(1);
+  }
+  return walks;
+}
+
 }  // namespace
 
 int main() {
@@ -362,6 +401,7 @@ int main() {
   check_playback_against_naive();
   check_thread_bit_identity();
   check_zero_steady_state_allocations();
+  const benchutil::WalkComparison walks = check_walk_against_reference();
   std::printf("perf_timeline: all equivalence checks passed\n");
 
   // --- timing: the acceptance comparison ------------------------------------
@@ -408,7 +448,10 @@ int main() {
        {"trials", static_cast<double>(kTrials), "count"},
        {"naive_playback_ms", old_ms, "ms"},
        {"incremental_playback_ms", new_ms, "ms"},
-       {"speedup", speedup, "x"}});
+       {"speedup", speedup, "x"},
+       {"walk_ref_us", walks.ref_us, "us"},
+       {"walk_us", walks.walk_us, "us"},
+       {"walk_speedup", walks.speedup, "x"}});
 
   if (speedup < 5.0) {
     std::fprintf(stderr,

@@ -55,6 +55,16 @@ class UnionFind {
     return size_[ra];
   }
 
+  // Adds w to the size of x's set and returns the new size. Sizes then
+  // count weighted elements, which union by size handles unchanged: the
+  // resurrection walk keeps one element per shared landing point and adds
+  // each cable piece's single-cable nodes as weight.
+  std::size_t add_size(std::size_t x, std::size_t w) {
+    const std::size_t r = find(x);
+    size_[r] += static_cast<std::uint32_t>(w);
+    return size_[r];
+  }
+
   bool connected(std::size_t a, std::size_t b) { return find(a) == find(b); }
   std::size_t set_size(std::size_t x) { return size_[find(x)]; }
   std::size_t set_count() const noexcept { return sets_; }

@@ -171,35 +171,41 @@ FaultSampler::FaultSampler(const sim::FailureSimulator& simulator,
   if (table.probability.size() != cables) {
     throw std::invalid_argument("FaultSampler: table size mismatch");
   }
-  repeaters_.resize(cables);
-  lethal_.resize(cables);
-  per_repeater_.assign(cables, 0.0);
+  base_.resize(cables);
+  draws_.assign(cables, 0);
+  threshold_.assign(cables, 0);
   for (topo::CableId c = 0; c < cables; ++c) {
     const std::size_t repeaters = simulator.cable_repeater_count(c);
     const std::size_t lethal = simulator.lethal_failures(repeaters);
-    repeaters_[c] = static_cast<std::uint32_t>(repeaters);
     // A dead repeaterless cable (defensive: it cannot die of GIC) gets the
     // one fault lethal_failures(0) == 1 stands for.
-    lethal_[c] = static_cast<std::uint32_t>(lethal);
+    base_[c] = static_cast<std::uint32_t>(lethal);
     if (repeaters == 0) continue;
-    per_repeater_[c] =
+    const auto extra = static_cast<std::uint32_t>(
+        repeaters > lethal ? repeaters - lethal : 0);
+    const double p =
         per_repeater_probability(repeaters, lethal, table.probability[c]);
+    // Rng::bernoulli's rule: p <= 0 and p >= 1 decide without a draw.
+    if (p >= 1.0) {
+      base_[c] += extra;
+    } else if (!(p <= 0.0)) {
+      draws_[c] = extra;
+      threshold_[c] = util::Rng::bernoulli_threshold(p);
+    }
   }
 }
 
 void FaultSampler::sample(const util::Bitset& dead, util::Rng& rng,
                           std::span<std::uint32_t> faults) const {
-  if (dead.size() != repeaters_.size() || faults.size() != repeaters_.size()) {
+  if (dead.size() != base_.size() || faults.size() != base_.size()) {
     throw std::invalid_argument("FaultSampler::sample: size mismatch");
   }
   std::fill(faults.begin(), faults.end(), 0u);
   dead.for_each_set([&](std::size_t c) {
-    const double per_repeater = per_repeater_[c];
-    const std::uint32_t lethal = lethal_[c];
-    const std::uint32_t repeaters = repeaters_[c];
-    std::uint32_t count = lethal;
-    for (std::uint32_t r = lethal; r < repeaters; ++r) {
-      if (rng.bernoulli(per_repeater)) ++count;
+    const std::uint64_t threshold = threshold_[c];
+    std::uint32_t count = base_[c];
+    for (std::uint32_t r = 0; r < draws_[c]; ++r) {
+      count += (rng.next_u64() >> 11) < threshold ? 1u : 0u;
     }
     faults[c] = count;
   });

@@ -76,7 +76,10 @@ RecoveryTimeline schedule_repairs(const topo::InfrastructureNetwork& net,
 // P(Binomial(n, p) >= k) = death. The constructor solves p once per cable
 // (closed form 1 - (1 - death)^(1/n) for k = 1, bisection for k >= 2);
 // sample() then takes n - k bernoullis per dead cable, dead cables
-// ascending, into a caller-owned buffer.
+// ascending, into a caller-owned buffer. Each is the exact integer form of
+// rng.bernoulli(p) (util::Rng::bernoulli_threshold, precomputed per cable):
+// the same decisions and the same stream consumption, without a double
+// conversion per draw.
 class FaultSampler {
  public:
   FaultSampler(const sim::FailureSimulator& simulator,
@@ -88,9 +91,11 @@ class FaultSampler {
               std::span<std::uint32_t> faults) const;
 
  private:
-  std::vector<std::uint32_t> repeaters_;
-  std::vector<std::uint32_t> lethal_;
-  std::vector<double> per_repeater_;
+  // Per cable: faults decided without a draw (the lethal k, plus n - k
+  // when p >= 1), the number of bernoulli draws, and their threshold.
+  std::vector<std::uint32_t> base_;
+  std::vector<std::uint32_t> draws_;
+  std::vector<std::uint64_t> threshold_;
 };
 
 // Allocation-free form of schedule_repairs for hot trial loops. The

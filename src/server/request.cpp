@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "gic/timeline.h"
+#include "sim/timeline_engine.h"
 #include "util/status.h"
 
 namespace solarnet::server {
@@ -271,6 +273,11 @@ void parse_request(std::string_view line, ScenarioRequest& out) {
         const double v = cur.number_token(field);
         if (!std::isfinite(v) || v <= 0.0 || v > 72.0) {
           value_fail("must be in (0, 72]", field);
+        }
+        if (sim::TimelineConfig::profile_step_count(gic::StormPhaseProfile{},
+                                                    v) >
+            sim::TimelineConfig::kMaxStormSteps) {
+          value_fail("too many storm steps (max 4096)", field);
         }
         out.timeline_step_hours = v;
       } else if (field == "repair_steps") {

@@ -38,8 +38,8 @@
 //   grid           sweep probability grid, each in [0,1]; canonicalized
 //                  by sorting ascending (responses are in sorted order);
 //                  empty/absent = the paper's default grid
-//   step_hours     timeline storm-step width, hours in (0, 72]
-//                  (default 6)
+//   step_hours     timeline storm-step width, hours in (0, 72], giving
+//                  at most 4096 storm steps (default 6)
 //   repair_steps   timeline repair steps, integer in [1, 4096]
 //                  (default 24)
 //   repair_step_days  width of one repair step, days in (0, 365]

@@ -23,6 +23,10 @@
 //    largest-component sizes cost one component build per trial instead of
 //    G. The walk itself lives in sim/incremental.h
 //    (IncrementalConnectivity), shared with the time-axis TimelineEngine.
+//    It unites only the landing points two or more cables share (104 of
+//    the 470-cable network's 1,188 nodes), so on that network the walk
+//    takes about half the time of one over every node (bench/perf_sweep
+//    times both), and a trial is the CRN draw plus that walk.
 //    All scratch lives in SweepScratch: the steady-state per-trial loop
 //    performs zero heap allocations (asserted by bench/perf_sweep.cpp).
 //

@@ -8,7 +8,7 @@
 
 namespace solarnet::sim {
 
-TimelineConfig TimelineConfig::from_profile(
+std::size_t TimelineConfig::profile_step_count(
     const gic::StormPhaseProfile& profile, double step_hours) {
   if (!(step_hours > 0.0) || !std::isfinite(step_hours)) {
     throw std::invalid_argument(
@@ -18,7 +18,26 @@ TimelineConfig TimelineConfig::from_profile(
     throw std::invalid_argument(
         "TimelineConfig::from_profile: profile.total_hours must be > 0");
   }
+  // Hour 0 and total_hours, plus the interior steps from_profile's loop
+  // visits (the same accumulation, so the same count).
+  std::size_t count = 2;
+  for (double h = step_hours; h < profile.total_hours; h += step_hours) {
+    if (++count > kMaxStormSteps) break;
+  }
+  return count;
+}
+
+TimelineConfig TimelineConfig::from_profile(
+    const gic::StormPhaseProfile& profile, double step_hours) {
+  const std::size_t steps = profile_step_count(profile, step_hours);
+  if (steps > kMaxStormSteps) {
+    throw std::invalid_argument(
+        "TimelineConfig::from_profile: step_hours gives more than 4096 "
+        "storm steps");
+  }
   TimelineConfig config;
+  config.storm_hours.reserve(steps);
+  config.dose_share.reserve(steps);
   config.storm_hours.push_back(0.0);
   config.dose_share.push_back(0.0);
   for (double h = step_hours; h < profile.total_hours; h += step_hours) {

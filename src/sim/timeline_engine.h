@@ -25,7 +25,10 @@
 // axis forward-in-severity (failures accumulate ⇒ walk resurrects
 // backward), the repair walk runs it *reversed* (repairs heal ⇒ the
 // reversed axis accumulates failures again). A T-step playback costs ~two
-// component builds instead of T.
+// component builds instead of T — each over the contracted hub network
+// (sim/incremental.h), so on the 470-cable network the two walks are a
+// minority of a playback beside the draw, fault counts and fleet
+// schedule.
 //
 // Determinism contract — identical to TrialPipeline/SweepEngine: trial t
 // draws from child stream t of the run seed, consuming exactly one uniform
@@ -71,11 +74,25 @@ struct TimelineConfig {
   // Fleet sizing for recovery::RepairScheduler.
   recovery::RepairFleetParams fleet;
 
+  // Ceiling on the storm axis from_profile builds, like the server's
+  // repair-step limit: a finer axis is almost certainly a caller bug, and
+  // an unbounded one would exhaust memory.
+  static constexpr std::size_t kMaxStormSteps = 4096;
+
   // Synthetic axis from the phase profile: steps every `step_hours` up to
   // profile.total_hours (the last step lands exactly on total_hours, where
   // damage_fraction_by is exactly 1), starting at hour 0 with share 0.
+  // Throws std::invalid_argument when step_hours is not finite and > 0,
+  // total_hours is not > 0, or the axis would exceed kMaxStormSteps.
   static TimelineConfig from_profile(const gic::StormPhaseProfile& profile,
                                      double step_hours = 1.0);
+
+  // The number of storm steps from_profile(profile, step_hours) builds,
+  // counted without allocating; counting stops at kMaxStormSteps + 1, so
+  // any result above kMaxStormSteps means "too many". Same argument checks
+  // as from_profile.
+  static std::size_t profile_step_count(const gic::StormPhaseProfile& profile,
+                                        double step_hours);
 
   // Observed axis, e.g. hours + gic::dose_share_from_kp of a
   // datasets::space_weather timeline. Validated by the engine constructor.

@@ -7,20 +7,6 @@
 
 namespace solarnet::sim {
 
-namespace {
-
-// ceil(p * 2^53). Both the product (a power-of-two scale of a double) and
-// the ceil are exact, so the integer test (next_u64() >> 11) < threshold
-// decides exactly like uniform() < p: never at p = 0, always at p = 1.
-// Values outside [0, 1] (and NaN, which uniform() < p never passes) are
-// clamped first so the conversion stays defined.
-std::uint64_t bernoulli_threshold(double p) {
-  if (!(p > 0.0)) return 0;
-  return static_cast<std::uint64_t>(std::ceil(std::min(p, 1.0) * 0x1.0p53));
-}
-
-}  // namespace
-
 TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
                                    const DeathProbabilityTable& table)
     : sim_(simulator) {
@@ -36,7 +22,7 @@ TrialBatchKernel::TrialBatchKernel(const FailureSimulator& simulator,
   const std::vector<std::uint32_t>& mortal = simulator.mortal_cables();
   threshold_.reserve(mortal.size());
   for (const std::uint32_t c : mortal) {
-    threshold_.push_back(bernoulli_threshold(table.probability[c]));
+    threshold_.push_back(util::Rng::bernoulli_threshold(table.probability[c]));
   }
 
   // Node -> cable incidence over cable-bearing nodes only (the universe of

@@ -9,6 +9,7 @@
 // for regenerating the paper's figures.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -112,6 +113,18 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return uniform() < p;
+  }
+
+  // ceil(p * 2^53). Both the product (a power-of-two scale of a double) and
+  // the ceil are exact, so the integer test
+  // (next_u64() >> 11) < bernoulli_threshold(p) decides exactly like
+  // uniform() < p on the same stream value: never at p = 0, always at
+  // p = 1. Values outside [0, 1] (and NaN, which uniform() < p never
+  // passes) are clamped first so the conversion stays defined. Hot loops
+  // precompute thresholds once and skip the double conversion per draw.
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    return static_cast<std::uint64_t>(std::ceil(std::min(p, 1.0) * 0x1.0p53));
   }
 
   // Standard normal via Marsaglia polar method (deterministic given the

@@ -60,6 +60,20 @@ TEST(UnionFind, LargeChainStaysFlat) {
   EXPECT_EQ(uf.set_size(kN / 2), kN);
 }
 
+TEST(UnionFind, AddSizeWeighsTheWholeSet) {
+  UnionFind uf(4);
+  EXPECT_EQ(uf.add_size(2, 5), 6u);  // a singleton carrying 5 more
+  uf.unite(0, 1);
+  EXPECT_EQ(uf.add_size(1, 3), 5u);  // through a non-root member too
+  EXPECT_EQ(uf.set_size(0), 5u);
+  // Weights add up on merge and keep their sets apart until then.
+  EXPECT_EQ(uf.unite_returning_size(0, 2), 11u);
+  EXPECT_EQ(uf.set_size(3), 1u);
+  EXPECT_EQ(uf.set_count(), 2u);
+  EXPECT_EQ(uf.add_size(3, 0), 1u);
+  EXPECT_THROW(uf.add_size(4, 1), std::out_of_range);
+}
+
 TEST(UnionFind, ZeroElements) {
   UnionFind uf(0);
   EXPECT_EQ(uf.set_count(), 0u);

@@ -280,6 +280,19 @@ TEST(ServeProtocol, ParsesTrafficAndTimelineFields) {
   EXPECT_DOUBLE_EQ(req.partition_threshold_pct, 40.0);
 }
 
+// A step inside (0, 72] can still ask for an unbounded storm axis: the
+// parser bounds it at the timeline's 4096 storm steps with a structured
+// error naming the field, before any engine is built.
+TEST(ServeProtocol, RejectsStepHoursPastTheStormStepBound) {
+  expect_rejected(R"({"cmd":"timeline","step_hours":1e-9})",
+                  util::ErrorCode::kInvalidArgument, "step_hours");
+  expect_rejected(R"({"cmd":"timeline","step_hours":0.01})",
+                  util::ErrorCode::kInvalidArgument, "step_hours");
+  // 72 h / 0.02 h is ~3,600 steps: inside the bound.
+  const ScenarioRequest req = parse(R"({"cmd":"timeline","step_hours":0.02})");
+  EXPECT_DOUBLE_EQ(req.timeline_step_hours, 0.02);
+}
+
 TEST(ServeProtocol, RejectsBadTrafficAndTimelineFields) {
   expect_rejected(R"({"traffic":2})", util::ErrorCode::kInvalidArgument,
                   "traffic");

@@ -7,6 +7,12 @@
 // and unreachable-node counts. Percentages are compared bit for bit: every
 // engine applies the same formula to the same integers.
 //
+// CrossEngineAxes extends it along both axes: at every point of the
+// paper's sweep grid the sweep's dead set is that point's scalar table
+// draw and its percentages are a from-scratch recompute, and every storm
+// and repair step of a timeline playback equals a per-step mask
+// recompute of the dead set its events imply.
+//
 // CrossEngineObservers extends the oracle to the report's observers: the
 // five report observers (connectivity, Google and Facebook availability,
 // DNS resolution, country isolation) — batch-capable, reading the 64-lane
@@ -15,12 +21,14 @@
 // alone and alongside a scalar-only TrafficObserver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/connectivity.h"
 #include "analysis/country.h"
 #include "analysis/dns_resolution.h"
 #include "datasets/datacenters.h"
@@ -30,6 +38,7 @@
 #include "gic/failure_model.h"
 #include "gic/storm.h"
 #include "gic/timeline.h"
+#include "graph/components.h"
 #include "routing/demand.h"
 #include "routing/traffic_observer.h"
 #include "services/availability.h"
@@ -221,6 +230,133 @@ TEST(CrossEngine, FractionHalfUniform) {
   config.rule = CableDeathRule::kFractionFails;
   config.death_fraction = 0.5;
   expect_engines_agree(config, gic::UniformFailureModel(0.3));
+}
+
+// --- every sweep point and every timeline step ------------------------------
+
+// From-scratch percentages of one dead set: cables failed, nodes
+// unreachable, and the largest component (singleton floor on non-empty
+// graphs) over the masked graph.
+struct StepPercentages {
+  double cables = 0.0;
+  double nodes = 0.0;
+  double largest = 0.0;
+};
+
+StepPercentages recompute(const topo::InfrastructureNetwork& net,
+                          const util::Bitset& dead) {
+  const std::size_t connected = net.connected_node_count();
+  const auto components =
+      graph::connected_components(net.graph(), net.mask_for_failures(dead));
+  const std::size_t largest = std::max<std::size_t>(
+      components.largest_component_size(), net.node_count() > 0 ? 1 : 0);
+  return {pct(dead.count(), net.cable_count()),
+          pct(net.unreachable_nodes(dead).size(), connected),
+          pct(largest, connected)};
+}
+
+void expect_sweep_points_agree(const TrialConfig& config) {
+  const topo::InfrastructureNetwork& net = submarine();
+  const FailureSimulator sim(net, config);
+  const std::vector<double> grid = analysis::default_probability_grid();
+  const SweepEngine sweep = SweepEngine::uniform(sim, grid);
+  std::vector<DeathProbabilityTable> tables;
+  for (const double p : grid) {
+    tables.push_back(sim.death_probability_table(gic::UniformFailureModel(p)));
+  }
+  const util::Rng base(kSeed);
+  SweepScratch scratch;
+  std::vector<std::uint32_t> death_index;
+  util::Bitset dead;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    util::Rng rng = base.split(t);
+    sweep.sample_death_grid_indices(rng, death_index);
+    util::Rng walk_rng = base.split(t);
+    sweep.run_trial(walk_rng, scratch);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      util::Rng scalar_rng = base.split(t);
+      sim.sample_cable_failures(tables[g], scalar_rng, dead);
+      std::size_t mismatched = 0;
+      for (topo::CableId c = 0; c < net.cable_count(); ++c) {
+        mismatched += (death_index[c] <= g) != dead.test(c) ? 1 : 0;
+      }
+      EXPECT_EQ(mismatched, 0u) << "trial " << t << " point " << g;
+      const StepPercentages want = recompute(net, dead);
+      EXPECT_EQ(scratch.cables_pct[g], want.cables)
+          << "trial " << t << " point " << g;
+      EXPECT_EQ(scratch.nodes_pct[g], want.nodes)
+          << "trial " << t << " point " << g;
+      EXPECT_EQ(scratch.largest_pct[g], want.largest)
+          << "trial " << t << " point " << g;
+    }
+  }
+}
+
+void expect_timeline_steps_agree(const gic::RepeaterFailureModel& model,
+                                 TimelineConfig config) {
+  const topo::InfrastructureNetwork& net = submarine();
+  const FailureSimulator sim(net, {});
+  const TimelineEngine timeline(sim, sim.death_probability_table(model),
+                                std::move(config));
+  const std::size_t storm_steps = timeline.storm_step_count();
+  const util::Rng base(kSeed);
+  TimelineScratch scratch;
+  util::Bitset dead(net.cable_count());
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    util::Rng rng = base.split(t);
+    timeline.playback(rng, scratch);
+    for (std::size_t i = 0; i < timeline.step_count(); ++i) {
+      // Storm step i: every cable that failed by then. Repair step i:
+      // every cable down at the storm's end and not yet restored.
+      for (topo::CableId c = 0; c < net.cable_count(); ++c) {
+        const bool failed = i < storm_steps
+                                ? scratch.fail_step[c] <= i
+                                : scratch.fail_step[c] < storm_steps &&
+                                      timeline.step_hour(i) <
+                                          scratch.restore_hour[c];
+        dead.set(c, failed);
+      }
+      const StepPercentages want = recompute(net, dead);
+      EXPECT_EQ(scratch.cables_dead_pct[i], want.cables)
+          << "trial " << t << " step " << i;
+      EXPECT_EQ(scratch.nodes_unreachable_pct[i], want.nodes)
+          << "trial " << t << " step " << i;
+      EXPECT_EQ(scratch.largest_component_pct[i], want.largest)
+          << "trial " << t << " step " << i;
+    }
+  }
+}
+
+TEST(CrossEngineAxes, SweepPaperGridEveryPoint) {
+  expect_sweep_points_agree({});
+}
+
+TEST(CrossEngineAxes, SweepPaperGridEveryPointFractionRule) {
+  TrialConfig config;
+  config.rule = CableDeathRule::kFractionFails;
+  config.death_fraction = 0.5;
+  expect_sweep_points_agree(config);
+}
+
+TEST(CrossEngineAxes, TimelineEveryStepS1) {
+  expect_timeline_steps_agree(
+      gic::LatitudeBandFailureModel::s1(),
+      TimelineConfig::from_profile(gic::StormPhaseProfile{}, 6.0));
+}
+
+TEST(CrossEngineAxes, TimelineEveryStepS2) {
+  expect_timeline_steps_agree(
+      gic::LatitudeBandFailureModel::s2(),
+      TimelineConfig::from_profile(gic::StormPhaseProfile{}, 3.0));
+}
+
+TEST(CrossEngineAxes, TimelineEveryStepObservedDoseSchedule) {
+  // An observed-style axis: uneven hours, flat stretches in the dose.
+  expect_timeline_steps_agree(
+      gic::UniformFailureModel(0.3),
+      TimelineConfig::from_dose_schedule(
+          {0.0, 1.5, 2.0, 7.0, 7.5, 20.0, 33.0},
+          {0.0, 0.1, 0.1, 0.45, 0.45, 0.9, 1.0}));
 }
 
 // --- the report's observers across engines -----------------------------------

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/components.h"
@@ -14,11 +16,15 @@ namespace solarnet::sim {
 namespace {
 
 // Same random-network generator as sweep_test: `nodes` random points,
-// `cables` random point-to-point cables with lengths spanning repeaterless
-// (< 150 km) through dozens-of-repeaters, including occasional duplicate
-// endpoints (parallel cables).
+// `cables` random cables with lengths spanning repeaterless (< 150 km)
+// through dozens-of-repeaters, including occasional duplicate endpoints
+// (parallel cables). With max_segments > 1 a cable gets 1..max_segments
+// segments between independently drawn node pairs, so its segments may
+// form several disconnected pieces; max_segments == 1 keeps the original
+// point-to-point draw sequence.
 topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
-                                           std::size_t cables) {
+                                           std::size_t cables,
+                                           std::size_t max_segments = 1) {
   topo::InfrastructureNetwork net("random");
   for (std::size_t i = 0; i < nodes; ++i) {
     net.add_node({"n" + std::to_string(i),
@@ -28,15 +34,41 @@ topo::InfrastructureNetwork random_network(util::Rng& rng, std::size_t nodes,
                   true});
   }
   for (std::size_t i = 0; i < cables; ++i) {
-    const auto a = static_cast<topo::NodeId>(rng.uniform_below(nodes));
-    auto b = static_cast<topo::NodeId>(rng.uniform_below(nodes));
-    if (b == a) b = (b + 1) % nodes;
+    const std::size_t segments =
+        max_segments > 1 ? 1 + rng.uniform_below(max_segments) : 1;
     topo::Cable cable;
     cable.name = "c" + std::to_string(i);
-    cable.segments = {{a, b, rng.uniform(40.0, 4000.0)}};
+    for (std::size_t k = 0; k < segments; ++k) {
+      const auto a = static_cast<topo::NodeId>(rng.uniform_below(nodes));
+      auto b = static_cast<topo::NodeId>(rng.uniform_below(nodes));
+      if (b == a) b = (b + 1) % nodes;
+      cable.segments.push_back({a, b, rng.uniform(40.0, 4000.0)});
+    }
     net.add_cable(std::move(cable));
   }
   return net;
+}
+
+// `count` nodes on a small grid of coordinates, named n0, n1, ...
+topo::InfrastructureNetwork grid_nodes(std::size_t count) {
+  topo::InfrastructureNetwork net("explicit");
+  for (std::size_t i = 0; i < count; ++i) {
+    net.add_node({"n" + std::to_string(i),
+                  {static_cast<double>(i % 7), static_cast<double>(i / 7)},
+                  "",
+                  topo::NodeKind::kLandingPoint,
+                  true});
+  }
+  return net;
+}
+
+// Adds one cable made of the given (a, b) segments.
+void add_cable(topo::InfrastructureNetwork& net,
+               std::vector<std::pair<topo::NodeId, topo::NodeId>> segments) {
+  topo::Cable cable;
+  cable.name = "c" + std::to_string(net.cable_count());
+  for (const auto& [a, b] : segments) cable.segments.push_back({a, b, 500.0});
+  net.add_cable(std::move(cable));
 }
 
 // Naive reference for step g of a first-dead axis: dead set
@@ -206,6 +238,178 @@ TEST(IncrementalTest, ScratchReuseAcrossAxesIsClean) {
       EXPECT_EQ(agg.largest, expected.largest);
     });
   }
+}
+
+// Walks `rounds` random axes over `net` (including the all-alive and
+// all-dead extremes) and checks every step against naive_step.
+void expect_walk_matches_naive(const topo::InfrastructureNetwork& net,
+                               util::Rng& rng, int rounds) {
+  const IncrementalConnectivity inc(net);
+  IncrementalScratch s;
+  for (int round = 0; round < rounds; ++round) {
+    const std::size_t steps = 1 + rng.uniform_below(8);
+    std::vector<std::uint32_t> first_dead(net.cable_count());
+    for (auto& v : first_dead) {
+      v = round == 0   ? static_cast<std::uint32_t>(steps)
+          : round == 1 ? 0u
+                       : static_cast<std::uint32_t>(
+                             rng.uniform_below(steps + 1));
+    }
+    inc.bucket_by_first_dead(first_dead, steps, s);
+    std::size_t calls = 0;
+    inc.walk(steps, s, [&](std::size_t g, const IncrementalAggregates& agg) {
+      ++calls;
+      const IncrementalAggregates expected = naive_step(net, first_dead, g);
+      EXPECT_EQ(agg.alive_cables, expected.alive_cables)
+          << "round " << round << " step " << g;
+      EXPECT_EQ(agg.lit_nodes, expected.lit_nodes)
+          << "round " << round << " step " << g;
+      EXPECT_EQ(agg.largest, expected.largest)
+          << "round " << round << " step " << g;
+    });
+    EXPECT_EQ(calls, steps);
+  }
+}
+
+// Multi-segment cables: pieces, hubs reached only through some segments,
+// and landing points shared by several segments of one cable.
+TEST(IncrementalTest, WalkMatchesNaiveOnMultiSegmentNetworks) {
+  util::Rng rng(4242);
+  for (int net_round = 0; net_round < 12; ++net_round) {
+    const std::size_t nodes = 4 + rng.uniform_below(30);
+    const std::size_t cables = 1 + rng.uniform_below(30);
+    const auto net = random_network(rng, nodes, cables, 4);
+    expect_walk_matches_naive(net, rng, 12);
+  }
+}
+
+// Cable 0's two segments 0-1 and 2-3 share no node: alive, it makes two
+// components of two, never one of four.
+TEST(IncrementalTest, CableWithTwoDisconnectedPieces) {
+  auto net = grid_nodes(6);
+  add_cable(net, {{0, 1}, {2, 3}});
+  add_cable(net, {{1, 4}});
+  add_cable(net, {{3, 5}});
+  add_cable(net, {{4, 5}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.hub_count(), 4u);  // nodes 1, 3, 4, 5
+
+  IncrementalScratch s;
+  const std::vector<std::uint32_t> only_split_cable = {1, 0, 0, 0};
+  inc.bucket_by_first_dead(only_split_cable, 1, s);
+  inc.walk(1, s, [&](std::size_t, const IncrementalAggregates& agg) {
+    EXPECT_EQ(agg.alive_cables, 1u);
+    EXPECT_EQ(agg.lit_nodes, 4u);
+    EXPECT_EQ(agg.largest, 2u);
+  });
+  util::Rng rng(5);
+  expect_walk_matches_naive(net, rng, 40);
+}
+
+// A six-node chain cable touches no hub: it is a component on its own, and
+// the largest one whenever it is alive.
+TEST(IncrementalTest, HublessCableIsTheLargestComponent) {
+  auto net = grid_nodes(9);
+  add_cable(net, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  add_cable(net, {{6, 7}});
+  add_cable(net, {{7, 8}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.hub_count(), 1u);  // node 7
+
+  IncrementalScratch s;
+  const std::vector<std::uint32_t> first_dead = {1, 1, 1};
+  inc.bucket_by_first_dead(first_dead, 1, s);
+  inc.walk(1, s, [&](std::size_t, const IncrementalAggregates& agg) {
+    EXPECT_EQ(agg.lit_nodes, 9u);
+    EXPECT_EQ(agg.largest, 6u);
+  });
+  util::Rng rng(6);
+  expect_walk_matches_naive(net, rng, 40);
+}
+
+// Nodes on no cable are singleton components and never lit; with no cable
+// alive the largest component is the singleton floor.
+TEST(IncrementalTest, NodesOnNoCable) {
+  auto net = grid_nodes(5);
+  add_cable(net, {{0, 1}});
+  add_cable(net, {{1, 2}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.connected_node_count(), 3u);
+  util::Rng rng(7);
+  expect_walk_matches_naive(net, rng, 30);
+
+  // No cables at all: every step reports the floor.
+  const auto bare = grid_nodes(3);
+  const IncrementalConnectivity bare_inc(bare);
+  EXPECT_EQ(bare_inc.hub_count(), 0u);
+  IncrementalScratch s;
+  bare_inc.bucket_by_first_dead({}, 2, s);
+  std::size_t calls = 0;
+  bare_inc.walk(2, s, [&](std::size_t, const IncrementalAggregates& agg) {
+    ++calls;
+    EXPECT_EQ(agg.alive_cables, 0u);
+    EXPECT_EQ(agg.lit_nodes, 0u);
+    EXPECT_EQ(agg.largest, 1u);
+  });
+  EXPECT_EQ(calls, 2u);
+}
+
+// add_cable rejects a cable with no segments, so a cable with zero edges
+// cannot exist; the nearest the network admits is a self-loop segment,
+// one edge that joins nothing. Alive, such a cable lights its one landing
+// point and leaves it a singleton (or a hub in someone else's component).
+TEST(IncrementalTest, SelfLoopCableJoinsNothing) {
+  auto net = grid_nodes(4);
+  topo::Cable empty;
+  empty.name = "empty";
+  EXPECT_THROW(net.add_cable(std::move(empty)), std::invalid_argument);
+
+  add_cable(net, {{2, 2}});  // private self-loop
+  add_cable(net, {{0, 0}});  // self-loop on a hub
+  add_cable(net, {{0, 1}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.hub_count(), 1u);  // node 0
+
+  IncrementalScratch s;
+  const std::vector<std::uint32_t> loops_only = {1, 1, 0};
+  inc.bucket_by_first_dead(loops_only, 1, s);
+  inc.walk(1, s, [&](std::size_t, const IncrementalAggregates& agg) {
+    EXPECT_EQ(agg.lit_nodes, 2u);
+    EXPECT_EQ(agg.largest, 1u);
+  });
+  util::Rng rng(8);
+  expect_walk_matches_naive(net, rng, 40);
+}
+
+// Three parallel cables between hubs 0 and 1, one of them with an extra
+// private landing point: any one alive joins the two hubs.
+TEST(IncrementalTest, ParallelCablesBetweenTwoHubs) {
+  auto net = grid_nodes(4);
+  add_cable(net, {{0, 1}});
+  add_cable(net, {{0, 1}});
+  add_cable(net, {{0, 2}, {2, 1}});
+  add_cable(net, {{1, 3}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.hub_count(), 2u);  // nodes 0, 1
+  util::Rng rng(9);
+  expect_walk_matches_naive(net, rng, 60);
+}
+
+// A ring with chords and one two-segment cable: every node is a hub, so
+// the contraction keeps the whole network.
+TEST(IncrementalTest, EveryNodeIsAHub) {
+  constexpr std::size_t kNodes = 8;
+  auto net = grid_nodes(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    add_cable(net, {{static_cast<topo::NodeId>(i),
+                     static_cast<topo::NodeId>((i + 1) % kNodes)}});
+  }
+  add_cable(net, {{0, 4}});
+  add_cable(net, {{1, 3}, {3, 6}});
+  const IncrementalConnectivity inc(net);
+  EXPECT_EQ(inc.hub_count(), kNodes);
+  util::Rng rng(10);
+  expect_walk_matches_naive(net, rng, 60);
 }
 
 }  // namespace

@@ -88,6 +88,37 @@ TEST_F(TimelineEngineTest, FromProfileRejectsBadArguments) {
                std::invalid_argument);
 }
 
+// The storm axis is bounded at kMaxStormSteps, and the count comes before
+// any allocation: a sub-nanosecond step would otherwise ask for ~10^11
+// steps. Integer hours accumulate exactly, so the boundary is sharp.
+TEST_F(TimelineEngineTest, FromProfileBoundsTheStormAxis) {
+  EXPECT_EQ(TimelineConfig::profile_step_count({}, 6.0),
+            TimelineConfig::from_profile({}, 6.0).storm_hours.size());
+  EXPECT_EQ(TimelineConfig::profile_step_count({}, 0.02),
+            TimelineConfig::from_profile({}, 0.02).storm_hours.size());
+
+  gic::StormPhaseProfile at_bound;
+  at_bound.total_hours = 4095.0;  // hours 0, 1, ..., 4095
+  EXPECT_EQ(TimelineConfig::profile_step_count(at_bound, 1.0),
+            TimelineConfig::kMaxStormSteps);
+  EXPECT_EQ(TimelineConfig::from_profile(at_bound, 1.0).storm_hours.size(),
+            TimelineConfig::kMaxStormSteps);
+  gic::StormPhaseProfile past_bound;
+  past_bound.total_hours = 4096.0;
+  EXPECT_EQ(TimelineConfig::profile_step_count(past_bound, 1.0),
+            TimelineConfig::kMaxStormSteps + 1);
+  EXPECT_THROW(TimelineConfig::from_profile(past_bound, 1.0),
+               std::invalid_argument);
+
+  // Counting stops just past the bound, so this neither allocates nor
+  // loops ~7 * 10^10 times.
+  EXPECT_EQ(TimelineConfig::profile_step_count({}, 1e-9),
+            TimelineConfig::kMaxStormSteps + 1);
+  EXPECT_THROW(TimelineConfig::from_profile({}, 1e-9), std::invalid_argument);
+  EXPECT_THROW(TimelineConfig::profile_step_count({}, 0.0),
+               std::invalid_argument);
+}
+
 TEST_F(TimelineEngineTest, ConstructorRejectsBadInputs) {
   const FailureSimulator sim(net_, {});
 
